@@ -134,7 +134,7 @@ def plan(
     """
     cfg = _resolve_config(config, preference, codec, linearization, selector)
     strategy = resolve_selector(cfg)
-    return strategy.select(np.asarray(values).reshape(-1))
+    return strategy.select(np.asarray(values).reshape(-1)).without_trial()
 
 
 def decompress(data: bytes, *, errors: str = "raise") -> np.ndarray:

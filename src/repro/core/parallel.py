@@ -150,7 +150,7 @@ class ParallelIsobarCompressor(IsobarCompressor):
         flat = arr.reshape(-1)
 
         select_start = time.perf_counter()
-        decision, codec, lead_analysis, lead_seconds = self._decide(
+        decision, trial, codec, lead_analysis, lead_seconds = self._decide(
             flat, tracer
         )
         select_seconds = time.perf_counter() - select_start - lead_seconds
@@ -164,6 +164,7 @@ class ParallelIsobarCompressor(IsobarCompressor):
                 self._compress_chunk(
                     i, chunk, decision, codec, tracer,
                     analysis=lead_analysis if i == 0 else None,
+                    trial=trial if i == 0 else None,
                 )
                 for i, chunk in enumerate(chunks)
             ]

@@ -77,7 +77,11 @@ from repro.core.resilience import (
     ResiliencePolicy,
     call_with_deadline,
 )
-from repro.core.selector import SelectorDecision, resolve_selector
+from repro.core.selector import (
+    SelectorDecision,
+    WinningTrial,
+    resolve_selector,
+)
 from repro.core.workspace import ChunkWorkspace
 from repro.observability.instruments import PipelineInstruments
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
@@ -320,6 +324,7 @@ def encode_chunk_payload(
     chunk_index: int = 0,
     tracer: AnyTracer = NULL_TRACER,
     workspace: ChunkWorkspace | None = None,
+    trial: WinningTrial | None = None,
 ) -> EncodedChunk:
     """Encode one analyzed chunk into its container payload streams.
 
@@ -342,6 +347,14 @@ def encode_chunk_payload(
     stdlib ``zlib``, then raw passthrough — instead of failing the run.
     A strict policy raises :class:`~repro.core.exceptions.CodecError`
     once the primary codec is exhausted.
+
+    ``trial`` is the selector's winning trial (see
+    :class:`~repro.core.selector.WinningTrial`).  Its output replaces
+    the first attempt's codec call when it was made by this codec
+    object on exactly this chunk's solver input, within the chunk
+    deadline; the breaker, verification and attempt accounting apply
+    to it unchanged, and its codec time counts as that attempt's solve
+    time.
     """
     raw_nbytes = _buffer_nbytes(raw)
     partition_seconds = 0.0
@@ -371,6 +384,14 @@ def encode_chunk_payload(
         else None
     )
     max_attempts = policy.max_attempts if policy is not None else 1
+    reused = (
+        trial
+        if trial is not None
+        and trial.codec is codec
+        and (deadline is None or trial.compress_seconds <= deadline)
+        and trial.solver_input == payload
+        else None
+    )
 
     attempts = 0
     cause: str | None = None
@@ -385,9 +406,19 @@ def encode_chunk_payload(
             attempts += 1
             solve_start = time.perf_counter()
             try:
-                compressed = call_with_deadline(
-                    codec.compress, payload, deadline
-                )
+                if reused is not None:
+                    # The trial ran this very solve inside the selector.
+                    # Its codec time is this attempt's solve time, so
+                    # the solve stage and ``solve_seconds`` still cover
+                    # the chunk's solve.
+                    compressed = reused.compressed
+                    solve_start -= reused.compress_seconds
+                    stage_start -= reused.compress_seconds
+                    reused = None
+                else:
+                    compressed = call_with_deadline(
+                        codec.compress, payload, deadline
+                    )
                 if policy is not None and policy.verify_roundtrip:
                     restored = call_with_deadline(
                         codec.decompress, compressed, deadline
@@ -774,7 +805,7 @@ class IsobarCompressor:
         flat = arr.reshape(-1)
 
         select_start = time.perf_counter()
-        decision, codec, lead_analysis, lead_seconds = self._decide(
+        decision, trial, codec, lead_analysis, lead_seconds = self._decide(
             flat, tracer
         )
         select_seconds = time.perf_counter() - select_start - lead_seconds
@@ -786,10 +817,12 @@ class IsobarCompressor:
         total_compress = 0.0
         for span, chunk in iter_chunks(flat, self._config.chunk_elements):
             # The selector's lead sample is exactly chunk 0, so its
-            # analysis is reused instead of re-running the analyzer.
+            # analysis (and, when it matches, its winning trial) is
+            # reused instead of re-running the analyzer and the solver.
             blob, report = self._compress_chunk(
                 span.index, chunk, decision, codec, tracer,
                 analysis=lead_analysis if span.index == 0 else None,
+                trial=trial if span.index == 0 else None,
             )
             chunk_blobs.append(blob)
             reports.append(report)
@@ -864,14 +897,18 @@ class IsobarCompressor:
 
     def _decide(
         self, flat: np.ndarray, tracer: AnyTracer = NULL_TRACER
-    ) -> tuple[SelectorDecision, Codec, AnalysisResult | None, float]:
+    ) -> tuple[
+        SelectorDecision, WinningTrial | None, Codec,
+        AnalysisResult | None, float,
+    ]:
         """Run the selector on the leading chunk's analysis.
 
-        Returns the decision, the codec, the lead chunk's analysis
-        (reusable verbatim for chunk 0, which *is* the lead sample) and
-        the seconds that analysis took — attributed to the ``analyze``
-        stage here so the select stage only accounts for the sampling
-        race itself.
+        Returns the decision without its trial, the trial on its own
+        (for chunk 0 only; it never outlives the call), the codec, the
+        lead chunk's analysis (reusable verbatim for chunk 0, which
+        *is* the lead sample) and the seconds that analysis took —
+        attributed to the ``analyze`` stage here so the select stage
+        only accounts for the sampling race itself.
         """
         if flat.size == 0:
             # Empty stream: nothing to sample; fall back to configured
@@ -886,7 +923,7 @@ class IsobarCompressor:
                 candidates=(),
                 sample_elements=0,
             )
-            return decision, get_codec(codec_name), None, 0.0
+            return decision, None, get_codec(codec_name), None, 0.0
         lead = flat[: min(flat.size, self._config.chunk_elements)]
         analyze_start = time.perf_counter()
         analysis = analyze(lead, tau=self._config.tau)
@@ -911,7 +948,10 @@ class IsobarCompressor:
                 candidates=(),
                 sample_elements=0,
             )
-        return decision, get_codec(decision.codec_name), analysis, lead_seconds
+        return (
+            decision.without_trial(), decision.trial,
+            get_codec(decision.codec_name), analysis, lead_seconds,
+        )
 
     def _compress_chunk(
         self,
@@ -921,6 +961,7 @@ class IsobarCompressor:
         codec: Codec,
         tracer: AnyTracer = NULL_TRACER,
         analysis: AnalysisResult | None = None,
+        trial: WinningTrial | None = None,
     ) -> tuple[bytes, ChunkReport]:
         # Zero-copy on the hot path: for little-endian contiguous input
         # this views the chunk's own bytes (no per-chunk matrix copy);
@@ -945,6 +986,7 @@ class IsobarCompressor:
             chunk_index=index,
             tracer=tracer,
             workspace=self._workspace(),
+            trial=trial,
         )
         compress_seconds = encoded.partition_seconds + encoded.solve_seconds
 

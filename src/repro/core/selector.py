@@ -14,6 +14,15 @@ Explicit user overrides of the codec and/or linearization restrict the
 candidate set rather than bypassing the evaluation, so the decision
 record always carries measured numbers.
 
+Each distinct trial input is built once per decision: an improvable
+sample is partitioned once per linearization and every codec
+compresses that partition; an undetermined sample passes to the solver
+whole, so one compression per codec stands for both linearizations
+(their rows carry the same measurement).  When the sample is the whole
+input, the winning trial's solver input and output ride on the
+decision (:class:`WinningTrial`) so the encoder can reuse them as
+chunk 0's compressed stream instead of solving the same bytes again.
+
 Sampling note: the paper samples "random elements"; we sample a few
 random *contiguous runs* totalling the same element count, because
 scattering individual elements would destroy the byte-stream locality
@@ -25,12 +34,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.codecs.base import get_codec
+from repro.codecs.base import Codec, get_codec
 from repro.core.analyzer import AnalysisResult, analyze
 from repro.core.exceptions import ConfigurationError, SelectorError
 from repro.core.partitioner import partition
@@ -44,6 +53,7 @@ __all__ = [
     "CandidatePrediction",
     "SelectorDecision",
     "SelectorStrategy",
+    "WinningTrial",
     "EupaSelector",
     "register_selector_strategy",
     "selector_strategy_names",
@@ -51,6 +61,10 @@ __all__ = [
 ]
 
 _SAMPLE_RUNS = 8
+
+
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(frozen=True)
@@ -102,6 +116,24 @@ class CandidatePrediction:
     confident: bool
 
 
+@dataclass(frozen=True, eq=False)
+class WinningTrial:
+    """The winning candidate's trial solve on a sample that is the whole input.
+
+    :func:`repro.core.pipeline.encode_chunk_payload` uses ``compressed``
+    as chunk 0's solver output only when the codec object matches and
+    ``solver_input`` equals the chunk's solver input byte for byte.
+    The output depends on nothing else, so the linearization needs no
+    check of its own: a different partition order yields other bytes.
+    """
+
+    codec: Codec
+    solver_input: bytes
+    compressed: bytes
+    #: Wall time of the codec call alone (the deadline-bounded part).
+    compress_seconds: float
+
+
 @dataclass(frozen=True)
 class SelectorDecision:
     """The selector's verdict plus the full evaluation record."""
@@ -121,6 +153,22 @@ class SelectorDecision:
     #: Regressor estimates backing a predicted decision (empty for
     #: probed decisions).
     predictions: tuple[CandidatePrediction, ...] = ()
+    #: The winning trial, kept only when the sample was the whole
+    #: input.  Not part of equality, ``repr``, ``to_dict`` or pickles.
+    trial: WinningTrial | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __getstate__(self) -> dict:
+        # The trial holds a live codec object (possibly unpicklable)
+        # and the sample's bytes; a pickled decision carries neither.
+        state = dict(self.__dict__)
+        state.pop("trial", None)
+        return state
+
+    def without_trial(self) -> SelectorDecision:
+        """This decision minus its trial — the form to keep or store."""
+        return self if self.trial is None else replace(self, trial=None)
 
     @property
     def chosen(self) -> CandidateEvaluation:
@@ -285,31 +333,92 @@ class EupaSelector:
             raise SelectorError("candidate space is empty; check configuration")
         return space
 
-    def _evaluate(
+    def _trial_input(
         self,
         sample: np.ndarray,
         analysis: AnalysisResult,
-        codec_name: str,
         linearization: Linearization,
-    ) -> CandidateEvaluation:
-        codec = get_codec(codec_name)
-        sample_bytes = sample.nbytes
-        start = time.perf_counter()
+    ) -> tuple[bytes, int]:
+        """The solver input for one linearization and its raw noise bytes."""
         if analysis.improvable:
             part = partition(sample, analysis.mask, linearization)
-            compressed = codec.compress(part.compressible)
-            total = len(compressed) + len(part.incompressible)
-        else:
-            compressed = codec.compress(np.ascontiguousarray(sample).tobytes())
-            total = len(compressed)
-        elapsed = time.perf_counter() - start
-        return CandidateEvaluation(
-            codec_name=codec_name,
-            linearization=linearization,
-            sample_bytes=sample_bytes,
-            compressed_bytes=max(total, 1),
-            compress_seconds=elapsed,
+            return part.compressible, len(part.incompressible)
+        return np.ascontiguousarray(sample).tobytes(), 0
+
+    def _run_trials(
+        self,
+        space: list[tuple[str, Linearization]],
+        sample: np.ndarray,
+        analysis: AnalysisResult,
+        keep: bool,
+    ) -> tuple[
+        list[CandidateEvaluation],
+        list[CandidateFailure],
+        dict[tuple[str, Linearization], tuple[Codec, bytes, bytes, float]],
+    ]:
+        """Time every candidate, building each distinct input once.
+
+        Returns the evaluations and the failures, each in candidate-space
+        order, and, when ``keep`` is set, each successful candidate's
+        codec, solver input, output and codec seconds.  Candidates that
+        share an input or an output share the object, not a copy.
+        """
+        rank = {candidate: i for i, candidate in enumerate(space)}
+        codecs = tuple(dict.fromkeys(c for c, _ in space))
+        linearizations = tuple(dict.fromkeys(l for _, l in space))
+        # An undetermined sample is solved whole: one input stands for
+        # every linearization.
+        groups = (
+            [(lin,) for lin in linearizations]
+            if analysis.improvable
+            else [linearizations]
         )
+        evaluated: list[CandidateEvaluation] = []
+        failed: list[CandidateFailure] = []
+        outputs: dict[
+            tuple[str, Linearization], tuple[Codec, bytes, bytes, float]
+        ] = {}
+        for lins in groups:
+            start = time.perf_counter()
+            try:
+                payload, noise_bytes = self._trial_input(
+                    sample, analysis, lins[0]
+                )
+            except Exception as exc:  # noqa: BLE001 - candidate containment
+                failed.extend(
+                    CandidateFailure(codec_name, lin, _describe(exc))
+                    for codec_name in codecs
+                    for lin in lins
+                )
+                continue
+            build_seconds = time.perf_counter() - start
+            for codec_name in codecs:
+                try:
+                    codec = get_codec(codec_name)
+                    start = time.perf_counter()
+                    compressed = codec.compress(payload)
+                    solve_seconds = time.perf_counter() - start
+                except Exception as exc:  # noqa: BLE001 - candidate containment
+                    failed.extend(
+                        CandidateFailure(codec_name, lin, _describe(exc))
+                        for lin in lins
+                    )
+                    continue
+                for lin in lins:
+                    evaluated.append(CandidateEvaluation(
+                        codec_name=codec_name,
+                        linearization=lin,
+                        sample_bytes=sample.nbytes,
+                        compressed_bytes=max(len(compressed) + noise_bytes, 1),
+                        compress_seconds=build_seconds + solve_seconds,
+                    ))
+                    if keep:
+                        outputs[codec_name, lin] = (
+                            codec, payload, compressed, solve_seconds,
+                        )
+        evaluated.sort(key=lambda c: rank[c.codec_name, c.linearization])
+        failed.sort(key=lambda f: rank[f.codec_name, f.linearization])
+        return evaluated, failed, outputs
 
     # -- decision ---------------------------------------------------------
 
@@ -331,27 +440,20 @@ class EupaSelector:
         if analysis is None:
             analysis = analyze(sample, tau=self._config.tau)
 
-        evaluated: list[CandidateEvaluation] = []
-        failed: list[CandidateFailure] = []
-        for codec_name, lin in self._candidate_space():
-            try:
-                evaluated.append(
-                    self._evaluate(sample, analysis, codec_name, lin)
+        # Only a sample that is the whole input can stand in for a
+        # chunk's solve, so only then are the trial outputs kept.
+        keep = sample.size == np.asarray(values).size
+        evaluated, failed, outputs = self._run_trials(
+            self._candidate_space(), sample, analysis, keep
+        )
+        # A misbehaving candidate must not abort selection: it is
+        # skipped, recorded on the decision, and counted.
+        if self._metrics.enabled:
+            for failure in failed:
+                self._instruments.selector_failures.inc(
+                    1, codec=failure.codec_name,
+                    linearization=failure.linearization.value,
                 )
-            except Exception as exc:  # noqa: BLE001 - candidate containment
-                # A misbehaving candidate must not abort selection: it
-                # is skipped, recorded on the decision, and counted.
-                failed.append(
-                    CandidateFailure(
-                        codec_name=codec_name,
-                        linearization=lin,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                if self._metrics.enabled:
-                    self._instruments.selector_failures.inc(
-                        1, codec=codec_name, linearization=lin.value
-                    )
         candidates = tuple(evaluated)
         if not candidates:
             details = "; ".join(
@@ -362,6 +464,7 @@ class EupaSelector:
                 f"every candidate evaluation failed: {details}"
             )
         best = self._pick(candidates)
+        kept = outputs.get((best.codec_name, best.linearization))
         decision = SelectorDecision(
             codec_name=best.codec_name,
             linearization=best.linearization,
@@ -370,6 +473,7 @@ class EupaSelector:
             candidates=candidates,
             sample_elements=int(sample.size),
             failed_candidates=tuple(failed),
+            trial=WinningTrial(*kept) if kept is not None else None,
         )
         if self._metrics.enabled:
             self._instruments.record_selector(decision)

@@ -563,7 +563,8 @@ class CachedSelector:
                 self._instruments.selector_cache_misses.inc()
         decision = self._inner.select(values, analysis=analysis)
         if key is not None:
-            self._cache.put(key, decision)
+            # The trial's bytes serve this call only; never cache them.
+            self._cache.put(key, decision.without_trial())
         return decision
 
 

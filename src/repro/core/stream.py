@@ -282,6 +282,7 @@ class StreamingWriter:
                 "analyze", _time.perf_counter() - stage_start,
                 bytes_in=arr.nbytes,
             )
+        trial = None
         if self._codec is None:
             stage_start = _time.perf_counter() if enabled else 0.0
             try:
@@ -308,6 +309,7 @@ class StreamingWriter:
                 )
             self._codec = get_codec(decision.codec_name)
             self._linearization = decision.linearization
+            trial = decision.trial
             if enabled:
                 tracer.add("select", _time.perf_counter() - stage_start)
         self._ensure_header()
@@ -320,6 +322,7 @@ class StreamingWriter:
             chunk_index=self._n_chunks,
             tracer=tracer,
             workspace=self._workspace,
+            trial=trial,
         )
         solver_in = encoded.solver_bytes
         incompressible = encoded.incompressible
