@@ -5,9 +5,8 @@ Measures end-to-end and per-stage MB/s of the compress pipeline (and
 end-to-end decompress) across
 
 * seeded synthetic datasets with different byte fingerprints,
-* solver codecs (stdlib ``zlib`` and the ``isal-zlib`` codec, which
-  runs on ISA-L when python-isal is installed and on stdlib zlib
-  otherwise),
+* solver codecs (``zlib`` and ``bzip2``, the paper's two solvers; EUPA
+  picks bzip2 for every fingerprint below under the ratio preference),
 * chunk sizes around the paper's 375 000-element operating point, and
 * the three execution paths: serial pipeline, thread-parallel
   pipeline, and the streaming writer/reader.
@@ -40,6 +39,7 @@ import numpy as np
 
 from repro.analysis import native_available, native_backend_description
 from repro.codecs import isal_available
+from repro.codecs.standard import bzip2_binding_description
 from repro.core.parallel import ParallelIsobarCompressor
 from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig
@@ -260,6 +260,7 @@ def run_sweep(
             "python": platform.python_version(),
             "numpy": np.__version__,
             "isal_available": isal_available(),
+            "bzip2_backend": bzip2_binding_description(),
             "native_histogram": native_available(),
             "native_backend": native_backend_description(),
         },
@@ -272,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--elements", type=int, default=750_000,
                         help="elements per dataset (default: 750000)")
     parser.add_argument("--codecs", nargs="+",
-                        default=["zlib", "isal-zlib"],
+                        default=["zlib", "bzip2"],
                         help="codec registry names to sweep")
     parser.add_argument("--chunk-sizes", nargs="+", type=int,
                         default=[93_750, 375_000],

@@ -27,7 +27,10 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.pipeline import IsobarCompressor
+from repro.codecs.base import get_codec
+from repro.core.metadata import ContainerHeader
+from repro.core.parallel import ParallelIsobarCompressor
+from repro.core.pipeline_engine import usable_cpus
 from repro.core.preferences import (
     ERROR_POLICIES,
     IsobarConfig,
@@ -38,7 +41,7 @@ from repro.core.preferences import (
 from repro.core.fsck import FsckReport
 from repro.core.fsck import fsck as _fsck
 from repro.core.stream import StreamingWriter, stream_decompress
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, UnknownCodecError
 from repro.core.selector import SelectorDecision, resolve_selector
 from repro.observability.registry import MetricsRegistry
 
@@ -71,6 +74,21 @@ def _resolve_config(
     if selector is not None:
         overrides["selector"] = selector
     return base.replace(**overrides) if overrides else base
+
+
+def _engine_workers(codec_names: tuple[str, ...]) -> int:
+    """Engine workers for a facade call that may solve with these codecs.
+
+    One per usable CPU when every codec's C core releases the GIL, so
+    worker threads overlap.  Pure-Python codecs run inline: threads
+    cannot overlap them, and the facade never starts the engine's
+    process pool.
+    """
+    try:
+        threaded = all(get_codec(name).releases_gil for name in codec_names)
+    except UnknownCodecError:
+        return 1
+    return usable_cpus() if threaded else 1
 
 
 def compress(
@@ -108,9 +126,19 @@ def compress(
     -------
     bytes
         A container that :func:`decompress` restores bit-exactly.
+
+    Chunks are solved on the pipelined engine with one worker per
+    usable CPU (:func:`~repro.core.pipeline_engine.usable_cpus`) when
+    every codec the call may use releases the GIL (zlib, bzip2, lzma,
+    isal-zlib); a single-chunk input, a one-CPU host or a pure-Python
+    codec runs inline.  The container is byte-identical to the serial
+    :class:`~repro.core.pipeline.IsobarCompressor`'s.
     """
     cfg = _resolve_config(config, preference, codec, linearization, selector)
-    return IsobarCompressor(cfg).compress(values)
+    codecs = (cfg.codec,) if cfg.codec is not None else cfg.candidate_codecs
+    return ParallelIsobarCompressor(cfg, _engine_workers(codecs)).compress(
+        values
+    )
 
 
 def plan(
@@ -150,8 +178,19 @@ def decompress(data: bytes, *, errors: str = "raise") -> np.ndarray:
         ``"raise"`` (default) aborts on the first damaged chunk with a
         located exception; ``"salvage-skip"`` drops damaged chunks;
         ``"salvage-zero"`` substitutes zero elements for them.
+
+    Chunks decode on one engine worker per usable CPU when the
+    container's codec releases the GIL, as in :func:`compress`;
+    salvage decodes serially.
     """
-    return IsobarCompressor().decompress(data, errors=errors)
+    errors = normalize_errors(errors)
+    workers = 1
+    if errors == "raise":
+        header, _ = ContainerHeader.decode(data)
+        workers = _engine_workers((header.codec_name,))
+    return ParallelIsobarCompressor(n_workers=workers).decompress(
+        data, errors=errors
+    )
 
 
 # isobar: ignore[ISO004] positional `mode` mirrors the builtin open()

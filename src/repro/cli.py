@@ -42,6 +42,7 @@ from repro.analysis.metrics import MEGABYTE, Stopwatch
 from repro.core.analyzer import analyze
 from repro.core.exceptions import IsobarError
 from repro.core.pipeline import IsobarCompressor
+from repro.core.pipeline_engine import usable_cpus
 from repro.core.preferences import IsobarConfig, Linearization, Preference
 from repro.datasets.loaders import load_raw, save_raw
 from repro.datasets.registry import dataset_names, generate_dataset
@@ -93,9 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--resilience-json", metavar="PATH", default=None,
                       help="write the degradation report as JSON to PATH "
                            "('-' for stdout)")
-    comp.add_argument("--workers", type=int, default=1,
+    comp.add_argument("--workers", type=int, default=usable_cpus(),
                       help="pipeline worker count (>1 uses the pipelined "
-                           "parallel compressor; default: 1)")
+                           "parallel compressor; default: one per usable "
+                           "CPU, here %(default)s)")
     comp.add_argument("--max-inflight", type=int, default=None,
                       help="backpressure bound: chunk blocks fed to "
                            "workers but not yet reassembled (default: "
@@ -108,9 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--metrics-json", metavar="PATH", default=None,
                      help="collect run metrics and write the registry "
                           "as JSON to PATH ('-' for stdout)")
-    dec.add_argument("--workers", type=int, default=1,
+    dec.add_argument("--workers", type=int, default=usable_cpus(),
                      help="pipeline worker count (>1 decodes chunks in "
-                          "parallel; default: 1)")
+                          "parallel; default: one per usable CPU, here "
+                          "%(default)s)")
     dec.add_argument("--max-inflight", type=int, default=None,
                      help="backpressure bound for parallel decode "
                           "(default: 2 x workers)")
@@ -185,9 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--chunk-elements", type=int, default=None)
     stats.add_argument("--tau", type=float, default=None)
     _add_selector_argument(stats)
-    stats.add_argument("--workers", type=int, default=1,
+    stats.add_argument("--workers", type=int, default=usable_cpus(),
                        help="pipeline worker count (>1 uses the parallel "
-                            "compressor; default: 1)")
+                            "compressor; default: one per usable CPU, "
+                            "here %(default)s)")
     stats.add_argument("--max-inflight", type=int, default=None,
                        help="backpressure bound for the pipelined engine "
                             "(default: 2 x workers)")
@@ -451,9 +455,10 @@ def _pipeline_compressor(
 ) -> IsobarCompressor:
     """The compressor the ``--workers``/``--max-inflight`` flags ask for.
 
-    ``--workers 1`` (the default) returns the serial pipeline; above
-    that, the pipelined parallel compressor with the requested
-    backpressure bound.  Both produce identical containers.
+    ``--workers 1`` returns the serial pipeline; above that (the
+    default on a multi-CPU host), the pipelined parallel compressor
+    with the requested backpressure bound.  Both produce identical
+    containers.
     """
     if getattr(args, "workers", 1) > 1:
         from repro.core.parallel import ParallelIsobarCompressor

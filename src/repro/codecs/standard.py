@@ -5,13 +5,21 @@ zlib and bzip2 are the two solvers the paper evaluates (its "zlib" and
 used, so compression *ratios* are directly comparable.  lzma is included
 as an additional high-ratio solver to demonstrate that the
 preconditioner is solver-agnostic.
+
+bzip2 compression calls the libbz2 that CPython's ``_bz2`` links
+directly (through :mod:`ctypes`), because only the C API exposes the
+block sort's ``workFactor``; the output is byte-identical to
+:func:`bz2.compress` (see :class:`Bzip2Codec`).
 """
 
 from __future__ import annotations
 
 import bz2
+import ctypes
+import functools
 import lzma
 import zlib
+from typing import Any
 
 from repro.codecs.base import Codec
 from repro.core.exceptions import CodecError, ConfigurationError
@@ -21,6 +29,7 @@ __all__ = [
     "Bzip2Codec",
     "LzmaCodec",
     "IsalZlibCodec",
+    "bzip2_binding_description",
     "isal_available",
 ]
 
@@ -68,8 +77,84 @@ class ZlibCodec(Codec):
             raise CodecError(f"zlib decompression failed: {exc}") from exc
 
 
+#: libbz2's ``workFactor``: how much effort the main block sort spends
+#: on repetitive input before it switches to the fallback sort.  The
+#: bzip2 manual (``BZ2_bzCompressInit``): "the compressed output
+#: generated is the same regardless of whether or not the fallback
+#: algorithm is used", so this moves speed only.  Chosen by an
+#: interleaved sweep against the library default of 30
+#: (docs/performance.md, "bzip2 sort budget").
+_BZ2_WORK_FACTOR = 7
+_BZ_OK = 0
+_UINT_MAX = 2**32 - 1
+
+
+@functools.cache
+def _bz2_binding() -> tuple[Any, str]:
+    """``BZ2_bzBuffToBuffCompress`` of the libbz2 ``_bz2`` links (None
+    when it cannot be bound), plus a description of the backend."""
+    try:
+        import _bz2
+
+        fn = ctypes.CDLL(_bz2.__file__).BZ2_bzBuffToBuffCompress
+    except (ImportError, AttributeError, OSError) as exc:
+        return None, f"bz2 module fallback ({type(exc).__name__}: {exc})"
+    fn.argtypes = [
+        ctypes.c_void_p,                 # dest
+        ctypes.POINTER(ctypes.c_uint),   # destLen (in: capacity, out: size)
+        ctypes.c_void_p,                 # source
+        ctypes.c_uint,                   # sourceLen
+        ctypes.c_int,                    # blockSize100k
+        ctypes.c_int,                    # verbosity
+        ctypes.c_int,                    # workFactor
+    ]
+    fn.restype = ctypes.c_int
+    return fn, f"libbz2 via ctypes (workFactor {_BZ2_WORK_FACTOR})"
+
+
+def bzip2_binding_description() -> str:
+    """How :class:`Bzip2Codec` compresses on this host, for benchmarks."""
+    return _bz2_binding()[1]
+
+
+def _bz2_compress(
+    data: bytes, level: int, work_factor: int = _BZ2_WORK_FACTOR
+) -> bytes:
+    """``bz2.compress(data, level)``, computed with the bounded sort budget.
+
+    Falls back to :func:`bz2.compress` when the library cannot be bound,
+    the input's size (plus the output slack) exceeds a ``c_uint``, or
+    the call does not return ``BZ_OK``.
+    ctypes releases the GIL for the call, so worker threads overlap.
+    ``work_factor`` is a parameter only for
+    ``benchmarks/run_bzip2_sweep.py``.
+    """
+    fn = _bz2_binding()[0]
+    if fn is None:
+        return bz2.compress(data, level)
+    data = bytes(data)
+    size = len(data)
+    # The manual's worst case: 1% larger than the input plus 600 bytes.
+    capacity = size + size // 100 + 601
+    if capacity > _UINT_MAX:
+        return bz2.compress(data, level)
+    out = ctypes.create_string_buffer(capacity)
+    out_len = ctypes.c_uint(capacity)
+    status = fn(
+        out, ctypes.byref(out_len), data, size, level, 0, work_factor
+    )
+    if status != _BZ_OK:
+        return bz2.compress(data, level)
+    return ctypes.string_at(out, out_len.value)
+
+
 class Bzip2Codec(Codec):
-    """Burrows-Wheeler + Huffman via bz2 — the paper's high-ratio solver."""
+    """Burrows-Wheeler + Huffman via libbz2 — the paper's high-ratio solver.
+
+    Compression calls libbz2 with a smaller ``workFactor`` than
+    :func:`bz2.compress` uses; decompression is :func:`bz2.decompress`.
+    Both produce and accept exactly the bytes of the ``bz2`` module.
+    """
 
     releases_gil = True
     process_safe = True
@@ -86,7 +171,7 @@ class Bzip2Codec(Codec):
         return self._level
 
     def compress(self, data: bytes) -> bytes:
-        return bz2.compress(data, self._level)
+        return _bz2_compress(data, self._level)
 
     def decompress(self, data: bytes) -> bytes:
         try:

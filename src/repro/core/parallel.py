@@ -323,15 +323,17 @@ class ParallelIsobarCompressor(IsobarCompressor):
             offset = end_incomp
             cursor = end_cursor
 
-        decoder = _ChunkDecoder(
-            header,
-            worker_codec_for(codec, self._n_workers),
-            tracer if self._metrics.enabled else None,
-        )
+        decode_tracer = tracer if self._metrics.enabled else None
         if self._n_workers == 1 or len(chunk_slices) <= 1:
+            decoder = _ChunkDecoder(header, codec, decode_tracer)
             for item in chunk_slices:
                 decoder(item)
         else:
+            decoder = _ChunkDecoder(
+                header,
+                worker_codec_for(codec, self._n_workers),
+                decode_tracer,
+            )
             # Workers decode straight into disjoint slices of the
             # preallocated result, so ordered reassembly is free; the
             # ordered consumption loop exists to surface a damaged

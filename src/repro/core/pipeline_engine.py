@@ -36,6 +36,7 @@ path records nothing.
 
 from __future__ import annotations
 
+import os
 import queue as _queue
 import threading
 import time
@@ -58,6 +59,7 @@ __all__ = [
     "RunnerStats",
     "bounded_relay",
     "default_max_inflight",
+    "usable_cpus",
 ]
 
 JobT = TypeVar("JobT")
@@ -77,6 +79,19 @@ def default_max_inflight(n_workers: int) -> int:
     completed blocks; a floor of 4 keeps tiny pools pipelined.
     """
     return max(2 * n_workers, 4)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the default engine worker count.
+
+    The scheduler affinity mask where the platform has one (it honours
+    ``taskset`` and container CPU sets), else the machine's CPU count;
+    never less than 1.
+    """
+    try:
+        return max(len(os.sched_getaffinity(0)), 1)
+    except AttributeError:
+        return max(os.cpu_count() or 1, 1)
 
 
 class _EngineInstruments(Protocol):

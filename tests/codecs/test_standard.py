@@ -1,10 +1,17 @@
 """Unit tests for the zlib/bzip2/lzma solver wrappers."""
 
+import bz2
+import threading
+
 import numpy as np
 import pytest
 
+from repro.codecs import standard
 from repro.codecs.standard import Bzip2Codec, LzmaCodec, ZlibCodec
 from repro.core.exceptions import CodecError, ConfigurationError
+from repro.core.preferences import IsobarConfig
+from repro.core.selector import EupaSelector
+from repro.datasets.registry import dataset_names, generate_dataset
 
 ALL_CODECS = [ZlibCodec(), Bzip2Codec(), LzmaCodec()]
 
@@ -86,3 +93,101 @@ class TestCrossCodecBehaviour:
         z_stream = ZlibCodec().compress(data)
         with pytest.raises(CodecError):
             Bzip2Codec().decompress(z_stream)
+
+
+# -- the libbz2 binding ----------------------------------------------------
+
+LEVELS = range(1, 10)
+SMALL_INPUTS = {
+    "empty": b"",
+    "one-byte": b"\x07",
+    "100k-identical": b"\x42" * 100_000,
+    "random": np.random.default_rng(11).integers(
+        0, 256, 250_000, dtype=np.uint8
+    ).tobytes(),
+}
+
+
+@pytest.fixture(scope="module")
+def registry_solver_inputs():
+    """Each registry dataset's bzip2 solver input, as the pipeline builds it.
+
+    At 20,000 elements the EUPA sample is the whole input, so the
+    winning trial carries chunk 0's exact solver input.
+    """
+    selector = EupaSelector(IsobarConfig(codec="bzip2"))
+    return {
+        name: selector.select(
+            generate_dataset(name, n_elements=20_000, seed=0)
+        ).trial.solver_input
+        for name in dataset_names()
+    }
+
+
+class TestBzip2Binding:
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("name", sorted(SMALL_INPUTS))
+    def test_matches_bz2_module(self, name, level):
+        data = SMALL_INPUTS[name]
+        assert Bzip2Codec(level).compress(data) == bz2.compress(data, level)
+
+    @pytest.mark.parametrize("level", [1, 9])
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_matches_bz2_module_on_registry_solver_inputs(
+        self, registry_solver_inputs, name, level
+    ):
+        data = registry_solver_inputs[name]
+        assert Bzip2Codec(level).compress(data) == bz2.compress(data, level)
+
+    @pytest.mark.parametrize(
+        "wrap", [bytes, bytearray, memoryview], ids=lambda w: w.__name__
+    )
+    def test_buffer_types(self, wrap):
+        data = SMALL_INPUTS["random"]
+        assert Bzip2Codec().compress(wrap(data)) == bz2.compress(data, 9)
+
+    def test_binding_is_used_where_available(self):
+        if standard._bz2_binding()[0] is None:
+            pytest.skip(standard.bzip2_binding_description())
+        assert standard.bzip2_binding_description().startswith("libbz2")
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            ("_bz2_binding", lambda: (None, "unbound")),
+            ("_bz2_binding", lambda: (lambda *args: -3, "BZ_PARAM_ERROR")),
+            ("_UINT_MAX", 1_000),                    # input too large
+        ],
+        ids=["unbound", "not-bz-ok", "exceeds-c-uint"],
+    )
+    def test_fallback_to_bz2_module(self, monkeypatch, patch):
+        calls = []
+        real = bz2.compress
+
+        def spy(data, level):
+            calls.append(level)
+            return real(data, level)
+
+        monkeypatch.setattr(standard, *patch)
+        monkeypatch.setattr(standard.bz2, "compress", spy)
+        data = SMALL_INPUTS["100k-identical"]
+        for level in LEVELS:
+            assert Bzip2Codec(level).compress(data) == real(data, level)
+        assert calls == list(LEVELS)
+
+    def test_concurrent_threads_produce_identical_output(self):
+        data = SMALL_INPUTS["random"] + SMALL_INPUTS["100k-identical"]
+        expected = bz2.compress(data, 9)
+        results: list[bytes] = []
+        barrier = threading.Barrier(2)
+
+        def work():
+            barrier.wait()
+            results.append(Bzip2Codec().compress(data))
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [expected, expected]

@@ -283,6 +283,22 @@ class TestPipelinedEngine:
         assert parallel == serial
         assert np.array_equal(parallel_comp.decompress(parallel), values)
 
+    def test_single_chunk_pure_python_decode_starts_no_pool(
+        self, rng, monkeypatch
+    ):
+        from repro.codecs import procpool
+
+        acquired: list[int] = []
+        monkeypatch.setattr(procpool, "_acquire_pool", acquired.append)
+        values = build_structured(4_000, np.float64, 6, rng)
+        config = IsobarConfig(codec="rle", chunk_elements=10_000)
+        blob = IsobarCompressor(config).compress(values)
+        restored = ParallelIsobarCompressor(config, n_workers=2).decompress(
+            blob
+        )
+        assert np.array_equal(restored, values)
+        assert acquired == []
+
     def test_worker_codec_selection(self):
         from repro.codecs.base import get_codec
         from repro.codecs.procpool import ProcessCodecProxy, worker_codec_for

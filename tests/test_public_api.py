@@ -2,27 +2,34 @@
 
 Covers the stability guarantees ``docs/api.md`` documents: facade
 signatures, the once-per-process deprecation of the legacy one-liners,
+the facade's engine workers and their byte-identical output,
 the star-import surface, the unified ``errors=`` vocabulary, the
 container-overhead accounting, and byte-level interoperability between
 the ``isal-zlib`` codec and plain stdlib zlib.
 """
 
 import inspect
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import repro
+import repro.api
 from repro.codecs import IsalZlibCodec, ZlibCodec, get_codec
 from repro.core import pipeline as _pipeline
 from repro.core.exceptions import ConfigurationError
+from repro.core.parallel import ParallelIsobarCompressor
+from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import (
     ERROR_POLICIES,
+    IsobarConfig,
     normalize_errors,
     salvage_policy_for,
 )
 from repro.core.random_access import ContainerReader
+from repro.datasets.registry import dataset_names, generate_dataset
 from repro.testing.faults import chunk_chain_end
 
 
@@ -86,6 +93,80 @@ class TestFacade:
     def test_facade_names_exported(self):
         assert {"compress", "decompress", "open_stream",
                 "ERROR_POLICIES"} <= set(repro.__all__)
+
+
+class TestFacadeWorkers:
+    """The facade solves chunks on one engine worker per usable CPU."""
+
+    CONFIG = IsobarConfig(chunk_elements=5_000)
+
+    @pytest.fixture
+    def runners(self, monkeypatch):
+        """Names of the engine runs the facade starts."""
+        started: list[str] = []
+        original = ParallelIsobarCompressor._runner
+
+        def spy(self, name):
+            started.append(name)
+            return original(self, name)
+
+        monkeypatch.setattr(ParallelIsobarCompressor, "_runner", spy)
+        return started
+
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_two_workers_match_serial_bytes(self, monkeypatch, runners, name):
+        monkeypatch.setattr(repro.api, "usable_cpus", lambda: 2)
+        values = generate_dataset(name, n_elements=20_000, seed=3)
+        serial = IsobarCompressor(self.CONFIG)
+        expected = serial.compress(values)
+
+        blob = repro.compress(values, config=self.CONFIG)
+        assert blob == expected
+        restored = repro.decompress(blob)
+        assert restored.tobytes() == values.tobytes()
+        assert runners == ["isobar-compress", "isobar-decompress"]
+
+        damaged = bytearray(blob)
+        damaged[chunk_chain_end(blob) - 2] ^= 0xFF
+        salvaged = repro.decompress(bytes(damaged), errors="salvage-skip")
+        assert salvaged.tobytes() == serial.decompress(
+            bytes(damaged), errors="salvage-skip"
+        ).tobytes()
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, runners):
+        monkeypatch.setattr(repro.api, "usable_cpus", lambda: 1)
+        started: list[str] = []
+        original_start = threading.Thread.start
+
+        def spy_start(thread):
+            started.append(thread.name)
+            original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        values = generate_dataset("num_brain", n_elements=20_000, seed=3)
+        blob = repro.compress(values, config=self.CONFIG)
+        assert np.array_equal(repro.decompress(blob), values)
+        assert started == [] and runners == []
+
+
+    @pytest.mark.parametrize(
+        "n_elements", [4_000, 20_000], ids=["one-chunk", "four-chunks"]
+    )
+    def test_pure_python_codec_runs_inline(
+        self, monkeypatch, runners, n_elements
+    ):
+        from repro.codecs import procpool
+
+        monkeypatch.setattr(repro.api, "usable_cpus", lambda: 2)
+        acquired: list[int] = []
+        monkeypatch.setattr(procpool, "_acquire_pool", acquired.append)
+        values = generate_dataset("num_brain", n_elements=n_elements, seed=3)
+        blob = repro.compress(values, codec="rle", config=self.CONFIG)
+        assert blob == IsobarCompressor(
+            self.CONFIG.replace(codec="rle")
+        ).compress(values)
+        assert np.array_equal(repro.decompress(blob), values)
+        assert acquired == [] and runners == []
 
 
 class TestDeprecatedAliases:
