@@ -455,21 +455,17 @@ def _pipeline_compressor(
 ) -> IsobarCompressor:
     """The compressor the ``--workers``/``--max-inflight`` flags ask for.
 
-    ``--workers 1`` returns the serial pipeline; above that (the
-    default on a multi-CPU host), the pipelined parallel compressor
+    ``--workers 1`` runs every chunk inline; above that (the default on
+    a multi-CPU host), multi-chunk inputs run on the pipelined engine
     with the requested backpressure bound.  Both produce identical
     containers.
     """
-    if getattr(args, "workers", 1) > 1:
-        from repro.core.parallel import ParallelIsobarCompressor
-
-        return ParallelIsobarCompressor(
-            config,
-            n_workers=args.workers,
-            max_inflight=getattr(args, "max_inflight", None),
-            collect_metrics=collect_metrics,
-        )
-    return IsobarCompressor(config, collect_metrics=collect_metrics)
+    return IsobarCompressor(
+        config,
+        getattr(args, "workers", 1),
+        max_inflight=getattr(args, "max_inflight", None),
+        collect_metrics=collect_metrics,
+    )
 
 
 def _write_metrics_json(registry, path: str, *, decision=None) -> None:

@@ -27,9 +27,9 @@ from __future__ import annotations
 from repro.core.exceptions import ContainerFormatError, InvalidInputError
 from repro.core.metadata import (
     ChunkIndexRecord,
-    ChunkMetadata,
     ContainerFooter,
     ContainerHeader,
+    iter_chunk_records,
     locate_footer,
 )
 
@@ -45,17 +45,12 @@ def split_container_header(data: bytes) -> tuple[ContainerHeader, bytes]:
     offsets no longer apply); anything else trailing is rejected to
     keep the merge well-defined.
     """
-    header, offset = ContainerHeader.decode(data)
-    chunk_start = offset
-    width = header.element_width
+    header, chunk_start = ContainerHeader.decode(data)
+    offset = chunk_start
     elements = 0
-    for _ in range(header.n_chunks):
-        meta, payload_offset = ChunkMetadata.decode(data, offset, width)
-        offset = (payload_offset + meta.compressed_size
-                  + meta.incompressible_size)
-        if offset > len(data):
-            raise ContainerFormatError("container truncated mid-chunk")
-        elements += meta.n_elements
+    for record in iter_chunk_records(data, header, chunk_start):
+        offset = record.end
+        elements += record.meta.n_elements
     if elements != header.n_elements:
         raise ContainerFormatError(
             f"chunks cover {elements} elements, header declares "
@@ -116,23 +111,16 @@ def concat_containers(containers: list[bytes]) -> bytes:
     # its new absolute position.
     entries: list[ChunkIndexRecord] = []
     cursor = len(header_bytes)
-    width = merged_header.element_width
     for header, chunk_stream in parsed:
-        offset = 0
-        for _ in range(header.n_chunks):
-            meta, payload_offset = ChunkMetadata.decode(
-                chunk_stream, offset, width
-            )
+        for record in iter_chunk_records(chunk_stream, header, 0):
             entries.append(
                 ChunkIndexRecord(
-                    payload_offset=cursor + payload_offset,
-                    compressed_size=meta.compressed_size,
-                    incompressible_size=meta.incompressible_size,
-                    n_elements=meta.n_elements,
+                    payload_offset=cursor + record.payload_offset,
+                    compressed_size=record.meta.compressed_size,
+                    incompressible_size=record.meta.incompressible_size,
+                    n_elements=record.meta.n_elements,
                 )
             )
-            offset = (payload_offset + meta.compressed_size
-                      + meta.incompressible_size)
         cursor += len(chunk_stream)
     footer = ContainerFooter(entries=tuple(entries)).encode()
     return (

@@ -20,6 +20,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -32,11 +33,13 @@ __all__ = [
     "ChunkMode",
     "ContainerHeader",
     "ChunkMetadata",
+    "ChunkRecord",
     "ChunkIndexRecord",
     "ContainerFooter",
     "FooterLocation",
     "locate_footer",
     "chunk_record_nbytes",
+    "iter_chunk_records",
     "encode_mask",
     "decode_mask",
 ]
@@ -303,6 +306,53 @@ class ChunkMetadata:
             raw_crc32=crc,
         )
         return meta, pos
+
+
+@dataclass(frozen=True)
+class ChunkRecord:
+    """One chunk of the chain, as :func:`iter_chunk_records` walks it."""
+
+    index: int
+    #: Absolute offset of the chunk's metadata record.
+    offset: int
+    meta: ChunkMetadata
+    #: Absolute offset of the first payload byte (just after the record).
+    payload_offset: int
+
+    @property
+    def compressed_end(self) -> int:
+        """Offset one past the solver stream (start of the noise bytes)."""
+        return self.payload_offset + self.meta.compressed_size
+
+    @property
+    def end(self) -> int:
+        """Offset one past the chunk's last payload byte."""
+        return self.compressed_end + self.meta.incompressible_size
+
+
+def iter_chunk_records(
+    data: bytes, header: ContainerHeader, offset: int
+) -> Iterator[ChunkRecord]:
+    """Walk the ``header.n_chunks`` chunk records starting at ``offset``.
+
+    The strict chain walk every in-memory reader shares: each record is
+    parsed lazily, and a payload that runs past the end of ``data``
+    raises :class:`TruncatedContainerError` naming the chunk and its
+    record offset.  (The salvage scanner resynchronizes over damage
+    instead; see :mod:`repro.core.salvage`.)
+    """
+    width = header.element_width
+    for index in range(header.n_chunks):
+        meta, payload_offset = ChunkMetadata.decode(data, offset, width)
+        record = ChunkRecord(index, offset, meta, payload_offset)
+        if record.end > len(data):
+            raise TruncatedContainerError(
+                f"chunk {index} at byte offset {offset}: container "
+                f"truncated inside chunk payload (payload ends at byte "
+                f"{record.end}, stream holds {len(data)})"
+            )
+        yield record
+        offset = record.end
 
 
 def chunk_record_nbytes(element_width: int) -> int:

@@ -1,7 +1,7 @@
 """The ISOBAR-compress workflow (Algorithm 1) over chunked inputs.
 
-:class:`IsobarCompressor` wires the components together exactly as
-Figure 2 draws them:
+:class:`IsobarCompressor` is the package's one chunk engine, and it
+wires the components together exactly as Figure 2 draws them:
 
 1. the EUPA-selector picks the solver and linearization from a timed
    sample (once per stream — Section II-F shows the choice is stable
@@ -13,6 +13,13 @@ Figure 2 draws them:
 5. the merger writes one self-describing container: global header,
    then per chunk its metadata, solver output and raw noise bytes
    (Figure 7).
+
+Steps 2-4 are one per-chunk job.  It runs inline with one worker (the
+default) or a single chunk, and on the pipelined block engine
+(:mod:`repro.core.pipeline_engine`) with ``n_workers > 1``; the
+streaming writer (:mod:`repro.core.stream`) calls the same decide step
+and job for each chunk it is handed.  Every mode writes byte-identical
+containers.
 
 Decompression replays the container without re-analysis; every chunk
 carries a CRC32 of its raw bytes, so corruption surfaces as
@@ -37,31 +44,36 @@ import time
 import warnings
 import zlib as _zlib
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.analysis.bytefreq import byte_view, element_width, matrix_to_elements
 from repro.codecs.base import Codec, get_codec
+from repro.codecs.procpool import worker_codec_for
 from repro.core.analyzer import AnalysisResult, analyze, analyze_matrix
 from repro.core.chunking import iter_chunks
 from repro.core.exceptions import (
     ChecksumError,
     ChunkTimeoutError,
     CodecError,
+    ConfigurationError,
     ContainerFormatError,
     InvalidInputError,
     IsobarError,
     SelectorError,
-    TruncatedContainerError,
 )
 from repro.core.metadata import (
     ChunkIndexRecord,
     ChunkMetadata,
     ChunkMode,
+    ChunkRecord,
     ContainerFooter,
     ContainerHeader,
+    iter_chunk_records,
 )
 from repro.core.partitioner import partition, reassemble_matrix
+from repro.core.pipeline_engine import PipelinedBlockRunner, RunnerStats
 from repro.core.preferences import (
     IsobarConfig,
     Linearization,
@@ -176,32 +188,23 @@ def decode_chunk_payload(
             # The matrix is C-contiguous little-endian — exactly the
             # chunk's raw byte stream — so the CRC reads it in place.
             raw = matrix
-        elif meta.mode is ChunkMode.FALLBACK_ZLIB:
-            # Resilience fallback: a standard stdlib-zlib stream of the
-            # raw little-endian chunk bytes, independent of the
-            # container's registered codec.
-            try:
-                raw = _zlib.decompress(compressed)
-            except _zlib.error as exc:
-                raise CodecError(
-                    f"zlib-fallback payload undecodable: {exc}"
-                ) from exc
+        elif meta.mode in (ChunkMode.FALLBACK_ZLIB, ChunkMode.PASSTHROUGH):
+            what = "chunk payload"
+            if meta.mode is ChunkMode.FALLBACK_ZLIB:
+                # Resilience fallback: a standard stdlib-zlib stream of
+                # the raw little-endian chunk bytes, independent of the
+                # container's registered codec.
+                what = "zlib-fallback payload"
+                try:
+                    raw = _zlib.decompress(compressed)
+                except _zlib.error as exc:
+                    raise CodecError(f"{what} undecodable: {exc}") from exc
+            else:
+                raw = codec.decompress(compressed)
             expected = meta.n_elements * header.element_width
             if len(raw) != expected:
                 raise ContainerFormatError(
-                    f"zlib-fallback payload decodes to {len(raw)} bytes, "
-                    f"expected {expected}"
-                )
-            chunk = np.frombuffer(
-                raw, dtype=header.dtype.newbyteorder("<")
-            ).astype(header.dtype, copy=False)
-        elif meta.mode is ChunkMode.PASSTHROUGH:
-            raw = codec.decompress(compressed)
-            expected = meta.n_elements * header.element_width
-            if len(raw) != expected:
-                raise ContainerFormatError(
-                    f"chunk payload decodes to {len(raw)} bytes, "
-                    f"expected {expected}"
+                    f"{what} decodes to {len(raw)} bytes, expected {expected}"
                 )
             chunk = np.frombuffer(
                 raw, dtype=header.dtype.newbyteorder("<")
@@ -285,8 +288,10 @@ def _fallback_streams(
     raw: bytes | np.ndarray,
     linearization: Linearization,
     deadline: float | None,
+    try_zlib: bool,
 ) -> tuple[ChunkMode, np.ndarray, bytes, bytes, int, str]:
-    """Degraded encodings: stdlib zlib first, raw passthrough last.
+    """Degraded encodings: stdlib zlib first (when ``try_zlib``), raw
+    passthrough last.
 
     Both reuse existing container vocabulary: ``FALLBACK_ZLIB`` is a
     standard zlib stream of the raw little-endian bytes, and the raw
@@ -295,21 +300,22 @@ def _fallback_streams(
     so every released decoder already round-trips it.
     """
     all_false = np.zeros(chunk.dtype.itemsize, dtype=bool)
-    try:
-        compressed = call_with_deadline(
-            lambda data: _zlib.compress(data, 6), raw, deadline
-        )
-        return (
-            ChunkMode.FALLBACK_ZLIB, all_false, compressed, b"",
-            _buffer_nbytes(raw), "zlib-fallback",
-        )
-    # isobar: ignore[ISO005] last-resort degrade path: any zlib failure
-    except Exception:  # noqa: BLE001 - falls through to raw passthrough
-        part = partition(chunk, all_false, linearization)
-        return (
-            ChunkMode.PARTITIONED, all_false, b"", part.incompressible,
-            0, "raw",
-        )
+    if try_zlib:
+        try:
+            compressed = call_with_deadline(
+                lambda data: _zlib.compress(data, 6), raw, deadline
+            )
+            return (
+                ChunkMode.FALLBACK_ZLIB, all_false, compressed, b"",
+                _buffer_nbytes(raw), "zlib-fallback",
+            )
+        # isobar: ignore[ISO005] last-resort degrade path: any zlib failure
+        except Exception:  # noqa: BLE001 - falls through to raw passthrough
+            pass
+    part = partition(chunk, all_false, linearization)
+    return (
+        ChunkMode.PARTITIONED, all_false, b"", part.incompressible, 0, "raw",
+    )
 
 
 def encode_chunk_payload(
@@ -429,15 +435,6 @@ def encode_chunk_payload(
                             f"({len(restored)} bytes back, "
                             f"{len(payload)} expected)"
                         )
-            except ChunkTimeoutError as exc:
-                tracer.add("solve", time.perf_counter() - solve_start,
-                           bytes_in=len(payload))
-                if policy is None:
-                    raise
-                if breaker is not None:
-                    breaker.record_failure()
-                cause, last_error = "timeout", exc
-                continue
             except Exception as exc:  # noqa: BLE001 - containment boundary
                 tracer.add("solve", time.perf_counter() - solve_start,
                            bytes_in=len(payload))
@@ -445,7 +442,8 @@ def encode_chunk_payload(
                     raise
                 if breaker is not None:
                     breaker.record_failure()
-                cause, last_error = "error", exc
+                timed_out = isinstance(exc, ChunkTimeoutError)
+                cause, last_error = "timeout" if timed_out else "error", exc
                 continue
             tracer.add(
                 "solve", time.perf_counter() - solve_start,
@@ -481,18 +479,13 @@ def encode_chunk_payload(
         raise CodecError(
             f"chunk {chunk_index}: {codec.name} circuit breaker is open"
         )
-    if not policy.fallback_zlib:
-        all_false = np.zeros(chunk.dtype.itemsize, dtype=bool)
-        raw_part = partition(chunk, all_false, linearization)
-        fb_mode, fb_mask, fb_comp, fb_incomp, fb_solver, fb_name = (
-            ChunkMode.PARTITIONED, all_false, b"", raw_part.incompressible,
-            0, "raw",
+    solve_start = time.perf_counter()
+    fb_mode, fb_mask, fb_comp, fb_incomp, fb_solver, fb_name = (
+        _fallback_streams(
+            chunk, raw, linearization, deadline, policy.fallback_zlib
         )
-    else:
-        solve_start = time.perf_counter()
-        fb_mode, fb_mask, fb_comp, fb_incomp, fb_solver, fb_name = (
-            _fallback_streams(chunk, raw, linearization, deadline)
-        )
+    )
+    if policy.fallback_zlib:
         tracer.add(
             "solve", time.perf_counter() - solve_start,
             bytes_in=raw_nbytes, bytes_out=len(fb_comp),
@@ -677,8 +670,29 @@ def _degradation_from_reports(
     )
 
 
+class _Lead(NamedTuple):
+    """A run's one selector decision, plus what chunk 0 reuses from it."""
+
+    #: The decision, without its trial.
+    decision: SelectorDecision
+    codec: Codec
+    #: The analysis of the lead sample, which *is* chunk 0 (``None``
+    #: for an empty input).
+    analysis: AnalysisResult | None
+    #: The selector's winning trial, for chunk 0 only.
+    trial: WinningTrial | None
+    analyze_seconds: float
+    select_seconds: float
+
+
 class IsobarCompressor:
     """End-to-end ISOBAR-compress preconditioner + solver pipeline.
+
+    The package's one chunk engine: in-memory compression and
+    decompression, :class:`~repro.core.parallel.ParallelIsobarCompressor`
+    and :class:`~repro.core.stream.StreamingWriter` all run their chunks
+    through the same decide step and per-chunk encoder, so every mode
+    writes byte-identical containers.
 
     Parameters
     ----------
@@ -686,11 +700,25 @@ class IsobarCompressor:
         Workflow configuration; defaults mirror the paper (tau = 1.42,
         375 000-element chunks, zlib/bzip2 candidates, ratio
         preference).
+    n_workers:
+        Chunk workers.  1 (the default) runs every chunk inline on the
+        calling thread; above that, multi-chunk inputs run on the
+        pipelined block engine
+        (:class:`~repro.core.pipeline_engine.PipelinedBlockRunner`).
+        A single chunk always runs inline.
+    max_inflight:
+        Backpressure bound of the engine: maximum chunk blocks fed to
+        workers but not yet reassembled.  Defaults to
+        ``max(2 * n_workers, 4)``.  Peak buffered memory is roughly
+        ``max_inflight`` chunk payloads on top of the input/output
+        arrays.
     collect_metrics:
         When true, every run records per-stage timings, chunk outcomes
         and byte routing into :attr:`metrics` and summarises itself as
         :attr:`last_report`.  The default leaves shared null
-        instruments on the hot path (no measurable overhead).
+        instruments on the hot path (no measurable overhead).  Workers
+        record into one thread-safe tracer and registry, so counters
+        do not depend on ``n_workers``.
     metrics:
         An existing :class:`~repro.observability.MetricsRegistry` to
         record into (shared registries aggregate across compressors);
@@ -711,11 +739,23 @@ class IsobarCompressor:
     def __init__(
         self,
         config: IsobarConfig | None = None,
+        n_workers: int = 1,
         *,
+        max_inflight: int | None = None,
         collect_metrics: bool = False,
         metrics: MetricsRegistry | None = None,
     ):
+        if n_workers < 1:
+            raise ConfigurationError(
+                f"n_workers must be positive, got {n_workers}"
+            )
+        if max_inflight is not None and max_inflight < 1:
+            raise ConfigurationError(
+                f"max_inflight must be positive, got {max_inflight}"
+            )
         self._config = config or IsobarConfig()
+        self._n_workers = n_workers
+        self._max_inflight = max_inflight
         if metrics is not None:
             self._metrics = metrics
         elif collect_metrics:
@@ -731,6 +771,10 @@ class IsobarCompressor:
             metrics=self._metrics if self._metrics.enabled else None,
         )
         self._last_report: PipelineReport | None = None
+        #: Engine accounting from the most recent run on the block
+        #: runner (None until one has executed); tests use
+        #: ``peak_inflight`` to assert the backpressure bound held.
+        self.last_runner_stats: RunnerStats | None = None
         # One breaker board for the compressor's lifetime: breaker
         # state persists across runs, the way an always-on ingest path
         # needs it to.  The gauge callback is a no-op when metrics are
@@ -739,8 +783,7 @@ class IsobarCompressor:
             self._config.resilience,
             on_state_change=self._record_breaker_state,
         )
-        # Reusable partition scratch, one per worker thread (the
-        # parallel subclass compresses chunks concurrently).
+        # Reusable partition scratch, one per worker thread.
         self._workspaces = threading.local()
 
     def _workspace(self) -> ChunkWorkspace:
@@ -762,6 +805,16 @@ class IsobarCompressor:
     def config(self) -> IsobarConfig:
         """The active workflow configuration."""
         return self._config
+
+    @property
+    def n_workers(self) -> int:
+        """Configured chunk worker count."""
+        return self._n_workers
+
+    @property
+    def max_inflight(self) -> int | None:
+        """Configured backpressure bound (None = engine default)."""
+        return self._max_inflight
 
     @property
     def breakers(self) -> BreakerBoard:
@@ -790,6 +843,22 @@ class IsobarCompressor:
             return Tracer(self._metrics)
         return NULL_TRACER
 
+    def _runner(self, name: str) -> PipelinedBlockRunner:
+        runner: PipelinedBlockRunner = PipelinedBlockRunner(
+            self._n_workers,
+            max_inflight=self._max_inflight,
+            name=name,
+            instruments=(
+                self._instruments if self._metrics.enabled else None
+            ),
+        )
+        self.last_runner_stats = runner.stats
+        return runner
+
+    def _inline(self, n_chunks: int) -> bool:
+        """Whether a run of ``n_chunks`` chunks skips the block runner."""
+        return self._n_workers == 1 or n_chunks <= 1
+
     # -- compression ------------------------------------------------------
 
     def compress(self, values: np.ndarray) -> bytes:
@@ -804,48 +873,24 @@ class IsobarCompressor:
         element_width(arr.dtype)  # validates dtype kind
         flat = arr.reshape(-1)
 
-        select_start = time.perf_counter()
-        decision, trial, codec, lead_analysis, lead_seconds = self._decide(
-            flat, tracer
-        )
-        select_seconds = time.perf_counter() - select_start - lead_seconds
-        tracer.add("select", select_seconds)
-
-        chunk_blobs: list[bytes] = []
-        reports: list[ChunkReport] = []
-        total_analyze = lead_seconds
-        total_compress = 0.0
-        for span, chunk in iter_chunks(flat, self._config.chunk_elements):
-            # The selector's lead sample is exactly chunk 0, so its
-            # analysis (and, when it matches, its winning trial) is
-            # reused instead of re-running the analyzer and the solver.
-            blob, report = self._compress_chunk(
-                span.index, chunk, decision, codec, tracer,
-                analysis=lead_analysis if span.index == 0 else None,
-                trial=trial if span.index == 0 else None,
-            )
-            chunk_blobs.append(blob)
-            reports.append(report)
-            total_analyze += report.analyze_seconds
-            total_compress += report.compress_seconds
+        lead = self._decide(flat, tracer)
+        chunks = [
+            chunk for _, chunk in iter_chunks(flat, self._config.chunk_elements)
+        ]
+        outcomes = self._encode_chunks(chunks, lead, tracer)
 
         merge_start = time.perf_counter()
-        header = ContainerHeader(
-            dtype=arr.dtype,
-            n_elements=flat.size,
-            shape=arr.shape,
-            codec_name=decision.codec_name,
-            linearization=decision.linearization,
-            preference=self._config.preference,
-            tau=self._config.tau,
-            chunk_elements=self._config.chunk_elements,
-            n_chunks=len(chunk_blobs),
+        reports = tuple(report for _, report in outcomes)
+        header = self._header(
+            lead.decision, arr.dtype, arr.shape, flat.size, len(reports)
         )
         header_bytes = header.encode()
         footer_bytes = index_footer_from_reports(
             len(header_bytes), reports
         ).encode()
-        payload = header_bytes + b"".join(chunk_blobs) + footer_bytes
+        payload = b"".join(
+            [header_bytes, *(blob for blob, _ in outcomes), footer_bytes]
+        )
         tracer.add(
             "merge", time.perf_counter() - merge_start,
             bytes_out=len(payload),
@@ -853,105 +898,189 @@ class IsobarCompressor:
         result = CompressionResult(
             payload=payload,
             header=header,
-            decision=decision,
-            chunks=tuple(reports),
-            analyze_seconds=total_analyze,
-            compress_seconds=total_compress,
-            select_seconds=select_seconds,
+            decision=lead.decision,
+            chunks=reports,
+            analyze_seconds=lead.analyze_seconds
+            + sum(r.analyze_seconds for r in reports),
+            compress_seconds=sum(r.compress_seconds for r in reports),
+            select_seconds=lead.select_seconds,
             degradation=_degradation_from_reports(reports),
             footer_bytes=len(footer_bytes),
         )
         if self._metrics.enabled:
-            self._finish_compress_run(
-                result, tracer, time.perf_counter() - wall_start
+            self._publish_run(
+                "compress", header, result.original_bytes, len(payload),
+                tracer.stage_seconds(), time.perf_counter() - wall_start,
+                reports,
             )
         return result
 
-    def _finish_compress_run(
-        self, result: CompressionResult, tracer: AnyTracer,
+    def _header(
+        self,
+        decision: SelectorDecision,
+        dtype: np.dtype,
+        shape: tuple[int, ...],
+        n_elements: int,
+        n_chunks: int,
+    ) -> ContainerHeader:
+        """The global header this compressor writes for one container."""
+        return ContainerHeader(
+            dtype=dtype,
+            n_elements=n_elements,
+            shape=shape,
+            codec_name=decision.codec_name,
+            linearization=decision.linearization,
+            preference=self._config.preference,
+            tau=self._config.tau,
+            chunk_elements=self._config.chunk_elements,
+            n_chunks=n_chunks,
+        )
+
+    def _publish_run(
+        self,
+        operation: str,
+        header: ContainerHeader,
+        input_bytes: int,
+        output_bytes: int,
+        stage_seconds: dict[str, float],
         wall_seconds: float,
+        reports: Sequence[ChunkReport] = (),
     ) -> None:
-        """Record run-level metrics and build the per-run report."""
-        improvable = sum(1 for c in result.chunks if c.improvable)
-        self._instruments.runs.inc(1, operation="compress")
-        self._instruments.input_bytes.inc(
-            result.original_bytes, operation="compress"
-        )
-        self._instruments.output_bytes.inc(
-            result.compressed_bytes, operation="compress"
-        )
+        """Record run-level metrics and build the per-run report
+        (``reports`` carries a compress run's per-chunk verdicts)."""
+        improvable = sum(1 for r in reports if r.improvable)
+        self._instruments.runs.inc(1, operation=operation)
+        self._instruments.input_bytes.inc(input_bytes, operation=operation)
+        self._instruments.output_bytes.inc(output_bytes, operation=operation)
         self._last_report = PipelineReport(
-            operation="compress",
-            codec_name=result.decision.codec_name,
-            linearization=result.decision.linearization.value,
-            n_chunks=len(result.chunks),
+            operation=operation,
+            codec_name=header.codec_name,
+            linearization=header.linearization.value,
+            n_chunks=header.n_chunks,
             improvable_chunks=improvable,
-            undetermined_chunks=len(result.chunks) - improvable,
-            solver_bytes=result.solver_bytes,
-            raw_bytes=result.noise_bytes,
-            input_bytes=result.original_bytes,
-            output_bytes=result.compressed_bytes,
-            stage_seconds=tracer.stage_seconds(),
+            undetermined_chunks=len(reports) - improvable,
+            solver_bytes=sum(r.solver_bytes for r in reports),
+            raw_bytes=sum(r.noise_bytes for r in reports),
+            input_bytes=input_bytes,
+            output_bytes=output_bytes,
+            stage_seconds=stage_seconds,
             wall_seconds=wall_seconds,
         )
 
-    def _decide(
-        self, flat: np.ndarray, tracer: AnyTracer = NULL_TRACER
-    ) -> tuple[
-        SelectorDecision, WinningTrial | None, Codec,
-        AnalysisResult | None, float,
-    ]:
-        """Run the selector on the leading chunk's analysis.
-
-        Returns the decision without its trial, the trial on its own
-        (for chunk 0 only; it never outlives the call), the codec, the
-        lead chunk's analysis (reusable verbatim for chunk 0, which
-        *is* the lead sample) and the seconds that analysis took —
-        attributed to the ``analyze`` stage here so the select stage
-        only accounts for the sampling race itself.
-        """
-        if flat.size == 0:
-            # Empty stream: nothing to sample; fall back to configured
-            # or first-candidate codec with row linearization.
-            codec_name = self._config.codec or self._config.candidate_codecs[0]
-            linearization = self._config.linearization or Linearization.ROW
-            decision = SelectorDecision(
-                codec_name=codec_name,
-                linearization=linearization,
-                preference=self._config.preference,
-                improvable=False,
-                candidates=(),
-                sample_elements=0,
-            )
-            return decision, None, get_codec(codec_name), None, 0.0
-        lead = flat[: min(flat.size, self._config.chunk_elements)]
-        analyze_start = time.perf_counter()
-        analysis = analyze(lead, tau=self._config.tau)
-        lead_seconds = time.perf_counter() - analyze_start
-        tracer.add("analyze", lead_seconds, bytes_in=lead.nbytes)
-        try:
-            decision = self._selector.select(flat, analysis=analysis)
-        except SelectorError:
-            # Every candidate evaluation failed.  Under a resilience
-            # policy the run must still proceed: fall back to the
-            # configured (or first-candidate) codec — chunk-level
-            # containment will degrade its chunks if it keeps failing.
-            if self._config.resilience is None:
-                raise
-            codec_name = self._config.codec or self._config.candidate_codecs[0]
-            linearization = self._config.linearization or Linearization.ROW
-            decision = SelectorDecision(
-                codec_name=codec_name,
-                linearization=linearization,
-                preference=self._config.preference,
-                improvable=analysis.improvable,
-                candidates=(),
-                sample_elements=0,
-            )
-        return (
-            decision.without_trial(), decision.trial,
-            get_codec(decision.codec_name), analysis, lead_seconds,
+    def _fallback_decision(self, improvable: bool) -> SelectorDecision:
+        """The configured (or first-candidate) codec, row order unless
+        configured: the decision when there is nothing to sample, or
+        when every candidate evaluation failed under a resilience
+        policy (chunk-level containment then degrades the chunks if
+        the codec keeps failing)."""
+        return SelectorDecision(
+            codec_name=self._config.codec or self._config.candidate_codecs[0],
+            linearization=self._config.linearization or Linearization.ROW,
+            preference=self._config.preference,
+            improvable=improvable,
+            candidates=(),
+            sample_elements=0,
         )
+
+    def _decide(
+        self,
+        flat: np.ndarray,
+        tracer: AnyTracer = NULL_TRACER,
+        lead_elements: int | None = None,
+    ) -> _Lead:
+        """Run the selector on the lead chunk's analysis.
+
+        The lead chunk is ``flat[:lead_elements]`` (default: one
+        configured chunk); it is chunk 0, so its analysis and the
+        selector's winning trial are reused there.  A stream passes its
+        first chunk's own length, since stream chunks need not match
+        the configured size.  The analysis is recorded as the
+        ``analyze`` stage and the rest as ``select``.
+        """
+        analysis = None
+        analyze_seconds = 0.0
+        start = time.perf_counter()
+        if flat.size == 0:
+            decision = self._fallback_decision(improvable=False)
+        else:
+            lead = flat[: lead_elements or self._config.chunk_elements]
+            analysis = analyze(lead, tau=self._config.tau)
+            analyze_seconds = time.perf_counter() - start
+            tracer.add("analyze", analyze_seconds, bytes_in=lead.nbytes)
+            try:
+                decision = self._selector.select(flat, analysis=analysis)
+            except SelectorError:
+                if self._config.resilience is None:
+                    raise
+                decision = self._fallback_decision(analysis.improvable)
+        select_seconds = time.perf_counter() - start - analyze_seconds
+        tracer.add("select", select_seconds)
+        return _Lead(
+            decision.without_trial(), get_codec(decision.codec_name),
+            analysis, decision.trial, analyze_seconds, select_seconds,
+        )
+
+    def _encode_chunks(
+        self,
+        chunks: list[np.ndarray],
+        lead: _Lead,
+        tracer: AnyTracer,
+    ) -> list[tuple[bytes, ChunkReport]]:
+        """Encode every chunk, in order: inline, or on the block runner.
+
+        Runner workers call the codec through :func:`worker_codec_for`
+        — the codec itself when its C core releases the GIL, a
+        process-pool proxy for registered pure-python codecs,
+        unchanged otherwise.  A failing chunk never poisons the
+        engine: under a resilience policy the chunk is retried serially
+        with the *original* codec (the resilient encoder degrades it
+        instead of failing), so one poisoned chunk costs one serial
+        retry, never the run.  Without a policy (or when the serial
+        retry fails too) the runner is cancelled — running workers
+        finish their block, queued blocks never start — and the
+        original exception propagates.
+        """
+
+        def encode(
+            seq: int, chunk: np.ndarray, codec: Codec
+        ) -> tuple[bytes, ChunkReport]:
+            return self._compress_chunk(
+                seq, chunk, lead.decision, codec, tracer,
+                analysis=lead.analysis if seq == 0 else None,
+                trial=lead.trial if seq == 0 else None,
+            )
+
+        if self._inline(len(chunks)):
+            return [
+                encode(seq, chunk, lead.codec)
+                for seq, chunk in enumerate(chunks)
+            ]
+        policy = self._config.resilience
+        worker_codec = worker_codec_for(lead.codec, self._n_workers)
+        runner = self._runner("isobar-compress")
+        outcomes: list[tuple[bytes, ChunkReport]] = []
+        for block in runner.run(
+            chunks, lambda seq, chunk: encode(seq, chunk, worker_codec)
+        ):
+            if block.error is None:
+                assert block.value is not None
+                outcomes.append(block.value)
+                continue
+            if (
+                policy is None
+                or policy.strict
+                or not isinstance(block.error, Exception)
+            ):
+                runner.cancel()
+                raise block.error
+            try:
+                outcomes.append(
+                    encode(block.seq, chunks[block.seq], lead.codec)
+                )
+            except Exception:
+                runner.cancel()
+                raise
+        return outcomes
 
     def _compress_chunk(
         self,
@@ -963,6 +1092,8 @@ class IsobarCompressor:
         analysis: AnalysisResult | None = None,
         trial: WinningTrial | None = None,
     ) -> tuple[bytes, ChunkReport]:
+        """Encode one chunk into its container record: the per-chunk
+        job of every mode (inline, block runner and stream writer)."""
         # Zero-copy on the hot path: for little-endian contiguous input
         # this views the chunk's own bytes (no per-chunk matrix copy);
         # the CRC reads the view in place.
@@ -1043,6 +1174,11 @@ class IsobarCompressor:
     def decompress(self, data: bytes, *, errors: str = "raise") -> np.ndarray:
         """Restore the exact original array from a container.
 
+        Chunk records are walked lazily, in order, and each one is
+        decoded straight into its disjoint slice of one preallocated
+        result — inline, or on the block runner, where at most
+        ``max_inflight`` records are ahead of the consumer.
+
         Parameters
         ----------
         data:
@@ -1054,6 +1190,7 @@ class IsobarCompressor:
             :func:`repro.core.salvage.salvage_decompress` and return
             whatever could be recovered (skipping lost chunks, or
             substituting zero elements for them, respectively).
+            Salvage decodes serially.
         """
         errors = normalize_errors(errors)
         if errors != "raise":
@@ -1068,90 +1205,74 @@ class IsobarCompressor:
         tracer = self._tracer()
         header, offset = ContainerHeader.decode(data)
         codec = get_codec(header.codec_name)
-        width = header.element_width
-
-        # Chunks decode straight into one preallocated result; no
-        # per-chunk array plus concatenation pass.
         flat = np.empty(header.n_elements, dtype=header.dtype)
-        cursor = 0
-        decode_start = time.perf_counter()
-        for index in range(header.n_chunks):
-            record_offset = offset
-            meta, offset = ChunkMetadata.decode(data, offset, width)
-            end_comp = offset + meta.compressed_size
-            end_incomp = end_comp + meta.incompressible_size
-            if end_incomp > len(data):
-                raise TruncatedContainerError(
-                    f"chunk {index} at byte offset {record_offset}: "
-                    "container truncated inside chunk payload"
+
+        def walk() -> Iterator[tuple[ChunkRecord, np.ndarray | None]]:
+            cursor = 0
+            for record in iter_chunk_records(data, header, offset):
+                end = cursor + record.meta.n_elements
+                # A chunk overflowing the declared total still decodes
+                # (into a scratch array), so a damaged chunk is reported
+                # before the element-count mismatch after the walk.
+                yield record, flat[cursor:end] if end <= flat.size else None
+                cursor = end
+            if cursor != header.n_elements:
+                raise ContainerFormatError(
+                    f"container reassembled {cursor} elements, header "
+                    f"declares {header.n_elements}"
                 )
-            compressed = data[offset:end_comp]
-            incompressible = data[end_comp:end_incomp]
-            offset = end_incomp
-            end_cursor = cursor + meta.n_elements
-            # A chunk overflowing the declared total still decodes (into
-            # a scratch array) so the element-count mismatch is reported
-            # as the format error below, matching the legacy behaviour.
-            target = flat[cursor:end_cursor] if end_cursor <= flat.size else None
+
+        def decode(
+            job: tuple[ChunkRecord, np.ndarray | None], codec: Codec
+        ) -> None:
+            record, target = job
+            start = time.perf_counter()
             decode_chunk_payload(
                 header,
                 codec,
-                meta,
-                compressed,
-                incompressible,
-                chunk_index=index,
-                byte_offset=record_offset,
+                record.meta,
+                data[record.payload_offset:record.compressed_end],
+                data[record.compressed_end:record.end],
+                chunk_index=record.index,
+                byte_offset=record.offset,
                 out=target,
             )
-            cursor = end_cursor
-        tracer.add(
-            "decode", time.perf_counter() - decode_start, bytes_in=offset
-        )
+            tracer.add(
+                "decode", time.perf_counter() - start,
+                bytes_in=record.end - record.payload_offset,
+            )
+
+        if self._inline(header.n_chunks):
+            for job in walk():
+                decode(job, codec)
+        else:
+            worker_codec = worker_codec_for(codec, self._n_workers)
+            runner = self._runner("isobar-decompress")
+            # Ordered consumption surfaces a damaged chunk's original
+            # exception in chain order and cancels queued decode work.
+            for block in runner.run(
+                walk(), lambda _seq, job: decode(job, worker_codec)
+            ):
+                if block.error is not None:
+                    runner.cancel()
+                    raise block.error
         self._instruments.chunks_decoded.inc(header.n_chunks)
 
         merge_start = time.perf_counter()
-        if cursor != header.n_elements:
-            raise ContainerFormatError(
-                f"container reassembled {cursor} elements, header "
-                f"declares {header.n_elements}"
-            )
-        tracer.add(
-            "merge", time.perf_counter() - merge_start, bytes_out=flat.nbytes
-        )
-        if self._metrics.enabled:
-            self._finish_decompress_run(
-                header, len(data), flat.nbytes, tracer,
-                time.perf_counter() - wall_start,
-            )
         n_shape = 1
         for dim in header.shape:
             n_shape *= dim
         if header.shape and n_shape == header.n_elements:
-            return flat.reshape(header.shape)
-        return flat
-
-    def _finish_decompress_run(
-        self,
-        header: ContainerHeader,
-        input_bytes: int,
-        output_bytes: int,
-        tracer: AnyTracer,
-        wall_seconds: float,
-    ) -> None:
-        """Record run-level decode metrics and build the per-run report."""
-        self._instruments.runs.inc(1, operation="decompress")
-        self._instruments.input_bytes.inc(input_bytes, operation="decompress")
-        self._instruments.output_bytes.inc(output_bytes, operation="decompress")
-        self._last_report = PipelineReport(
-            operation="decompress",
-            codec_name=header.codec_name,
-            linearization=header.linearization.value,
-            n_chunks=header.n_chunks,
-            input_bytes=input_bytes,
-            output_bytes=output_bytes,
-            stage_seconds=tracer.stage_seconds(),
-            wall_seconds=wall_seconds,
+            flat = flat.reshape(header.shape)
+        tracer.add(
+            "merge", time.perf_counter() - merge_start, bytes_out=flat.nbytes
         )
+        if self._metrics.enabled:
+            self._publish_run(
+                "decompress", header, len(data), flat.nbytes,
+                tracer.stage_seconds(), time.perf_counter() - wall_start,
+            )
+        return flat
 
 
 # Deprecated aliases warn once per process, not once per call — the

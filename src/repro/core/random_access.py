@@ -44,13 +44,13 @@ from repro.core.exceptions import (
     ContainerFormatError,
     InvalidInputError,
     IsobarError,
-    TruncatedContainerError,
 )
 from repro.core.metadata import (
     ChunkMetadata,
     ContainerFooter,
     ContainerHeader,
     chunk_record_nbytes,
+    iter_chunk_records,
     locate_footer,
 )
 from repro.core.pipeline import decode_chunk_payload
@@ -107,30 +107,20 @@ def _scan_index(
     """
     index: list[ChunkIndexEntry] = []
     element_cursor = 0
-    width = header.element_width
-    for i in range(header.n_chunks):
-        record_offset = offset
-        meta, payload_offset = ChunkMetadata.decode(data, offset, width)
-        end = payload_offset + meta.compressed_size + meta.incompressible_size
-        if end > len(data):
-            raise TruncatedContainerError(
-                f"chunk {i} at byte offset {record_offset}: container "
-                f"truncated in index scan (payload ends at byte {end}, "
-                f"stream holds {len(data)})"
-            )
+    for record in iter_chunk_records(data, header, offset):
+        meta = record.meta
         index.append(
             ChunkIndexEntry(
-                index=i,
+                index=record.index,
                 element_start=element_cursor,
                 element_stop=element_cursor + meta.n_elements,
-                payload_offset=payload_offset,
+                payload_offset=record.payload_offset,
                 metadata=meta,
                 compressed_size=meta.compressed_size,
                 incompressible_size=meta.incompressible_size,
             )
         )
         element_cursor += meta.n_elements
-        offset = end
     if element_cursor != header.n_elements:
         raise ContainerFormatError(
             f"index covers {element_cursor} elements, header declares "

@@ -3,14 +3,15 @@
 Extreme-scale arrays do not fit in memory (Section II-D); the streaming
 writer consumes an element iterator — e.g.
 :func:`repro.datasets.loaders.stream_raw_chunks` — and emits a standard
-ISOBAR container incrementally, holding only one chunk at a time.  The
-reader streams chunks back out the same way.
+ISOBAR container incrementally, holding only one chunk at a time, on
+the in-memory chunk engine's decide step and per-chunk encoder
+(:class:`~repro.core.pipeline.IsobarCompressor`).  The reader streams
+chunks back out the same way.
 
 Because the container's global header records the chunk count, which is
 unknown until the stream ends, the writer reserves the header and
-patches it on ``close()`` — the emitted file is byte-compatible with
-the in-memory pipeline's output for the same configuration and
-decision.
+patches it on ``close()`` — the emitted file is byte-identical to the
+in-memory pipeline's output for the same configuration and decision.
 
 Crash safety: :meth:`StreamingWriter.open` (and
 :func:`stream_compress`, which uses it) writes to a temporary file in
@@ -26,45 +27,30 @@ from __future__ import annotations
 
 import os
 import time as _time
-import zlib as _zlib
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from repro.analysis.bytefreq import byte_view, element_width
-from repro.codecs.base import get_codec
-from repro.core.analyzer import analyze_matrix
+from repro.analysis.bytefreq import element_width
+from repro.codecs.base import Codec, get_codec
 from repro.core.exceptions import (
     ContainerFormatError,
     InvalidInputError,
     IsobarError,
-    SelectorError,
     TruncatedContainerError,
 )
-from repro.core.metadata import (
-    ChunkIndexRecord,
-    ChunkMetadata,
-    ContainerFooter,
-    ContainerHeader,
-    locate_footer,
+from repro.core.metadata import ChunkMetadata, ContainerHeader, locate_footer
+from repro.core.pipeline import (
+    ChunkReport,
+    IsobarCompressor,
+    _degradation_from_reports,
+    decode_chunk_payload,
+    index_footer_from_reports,
 )
 from repro.core.pipeline_engine import bounded_relay
-from repro.core.pipeline import (
-    decode_chunk_payload,
-    encode_chunk_payload,
-)
-from repro.core.preferences import (
-    IsobarConfig,
-    Linearization,
-    salvage_policy_for,
-)
-from repro.core.workspace import ChunkWorkspace
-from repro.core.resilience import (
-    BreakerBoard,
-    DegradationEvent,
-    DegradationReport,
-)
-from repro.core.selector import SelectorDecision, resolve_selector
+from repro.core.preferences import IsobarConfig, salvage_policy_for
+from repro.core.resilience import DegradationReport
+from repro.core.selector import SelectorDecision
 from repro.observability.instruments import PipelineInstruments
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
 from repro.observability.report import PipelineReport
@@ -84,14 +70,19 @@ class StreamingWriter:
                 writer.write_chunk(chunk)
             writer.close()
 
-    The first chunk drives the EUPA-selector decision (codec and
-    linearization for the whole stream).  ``close()`` seeks back and
-    patches the header with the final element/chunk counts, so the sink
-    must be seekable.
+    The writer runs on the in-memory chunk engine: the first chunk
+    drives :class:`~repro.core.pipeline.IsobarCompressor`'s decide step
+    (codec and linearization for the whole stream), and every chunk
+    goes through its per-chunk encoder, inline — each chunk is in the
+    sink when ``write_chunk`` returns.  The writer itself only owns
+    the sink, the header patch, the index footer and the atomic
+    ``open``/``abort``/``close``.  ``close()`` seeks back and patches
+    the header with the final element/chunk counts, so the sink must
+    be seekable.
 
     With ``collect_metrics=True`` (or a shared ``metrics`` registry)
-    every ``write_chunk`` records the analyze/partition/solve stages
-    and chunk outcomes, and ``close()`` publishes a
+    every ``write_chunk`` records the analyze/partition/solve/write
+    stages and chunk outcomes, and ``close()`` publishes a
     :class:`~repro.observability.PipelineReport` as
     :attr:`last_report`; the report's wall time covers only the time
     spent inside the writer, not the caller's chunk production.
@@ -109,48 +100,16 @@ class StreamingWriter:
         self._sink = sink
         self._dtype = np.dtype(dtype)
         element_width(self._dtype)  # validate
-        self._config = config or IsobarConfig()
-        if metrics is not None:
-            self._metrics = metrics
-        elif collect_metrics:
-            self._metrics = MetricsRegistry()
-        else:
-            self._metrics = NULL_REGISTRY
-        self._instruments = PipelineInstruments(self._metrics)
-        self._stream_tracer = (
-            Tracer(self._metrics) if self._metrics.enabled else NULL_TRACER
+        self._engine = IsobarCompressor(
+            config, collect_metrics=collect_metrics, metrics=metrics
         )
+        # One tracer for the whole stream: the report sums its stages.
+        self._tracer = self._engine._tracer()
         self._wall_seconds = 0.0
-        self._improvable_chunks = 0
-        self._raw_bytes_in = 0
-        self._solver_bytes = 0
-        self._noise_bytes = 0
-        self._last_report: PipelineReport | None = None
-        # The first chunk drives one decision via the configured
-        # strategy (config.selector; "eupa" default) — see
-        # repro.core.selector.resolve_selector.
-        self._selector = resolve_selector(
-            self._config,
-            metrics=self._metrics if self._metrics.enabled else None,
-        )
-        self._breakers = BreakerBoard(
-            self._config.resilience,
-            on_state_change=lambda name, state: (
-                self._instruments.breaker_state.set(
-                    state.gauge_value, codec=name
-                )
-            ),
-        )
-        self._degradation_events: list[DegradationEvent] = []
-        self._retries = 0
-        # One writer, one thread: the partition scratch is reused for
-        # every chunk of the stream.
-        self._workspace = ChunkWorkspace()
-        self._codec = None
-        self._linearization: Linearization | None = None
-        self._n_elements = 0
-        self._n_chunks = 0
-        self._index_entries: list[ChunkIndexRecord] = []
+        # Set by the first chunk's decision.
+        self._decision: SelectorDecision | None = None
+        self._codec: Codec | None = None
+        self._reports: list[ChunkReport] = []
         self._header_offset = sink.tell()
         self._closed = False
         self._header_size: int | None = None
@@ -215,36 +174,24 @@ class StreamingWriter:
     @property
     def metrics(self) -> MetricsRegistry | None:
         """The registry this writer records into (``None`` if disabled)."""
-        return self._metrics if self._metrics.enabled else None
+        return self._engine.metrics
 
     @property
     def last_report(self) -> PipelineReport | None:
         """The stream's :class:`~repro.observability.PipelineReport`,
         published by ``close()`` when metrics are enabled."""
-        return self._last_report
+        return self._engine.last_report
 
     @property
     def degradation(self) -> DegradationReport:
         """Fault-containment record of the chunks written so far."""
-        return DegradationReport(
-            events=tuple(self._degradation_events), retries=self._retries
-        )
+        return _degradation_from_reports(self._reports)
 
     def _build_header(self) -> ContainerHeader:
-        return ContainerHeader(
-            dtype=self._dtype,
-            n_elements=self._n_elements,
-            shape=(self._n_elements,),
-            codec_name=(
-                self._codec.name
-                if self._codec is not None
-                else (self._config.codec or self._config.candidate_codecs[0])
-            ),
-            linearization=self._linearization or Linearization.ROW,
-            preference=self._config.preference,
-            tau=self._config.tau,
-            chunk_elements=self._config.chunk_elements,
-            n_chunks=self._n_chunks,
+        n_elements = sum(report.n_elements for report in self._reports)
+        return self._engine._header(
+            self._decision or self._engine._fallback_decision(False),
+            self._dtype, (n_elements,), n_elements, len(self._reports),
         )
 
     def _ensure_header(self) -> None:
@@ -268,125 +215,31 @@ class StreamingWriter:
             )
         if arr.size == 0:
             return 0
-        enabled = self._metrics.enabled
-        tracer = self._stream_tracer
+        enabled = self._engine.collect_metrics
         wall_start = _time.perf_counter() if enabled else 0.0
-
-        # Zero-copy on the hot path: little-endian contiguous chunks
-        # are analyzed and hashed through a view of their own bytes.
-        view = byte_view(arr)
-        stage_start = wall_start
-        analysis = analyze_matrix(view, tau=self._config.tau)
-        if enabled:
-            tracer.add(
-                "analyze", _time.perf_counter() - stage_start,
-                bytes_in=arr.nbytes,
-            )
-        trial = None
-        if self._codec is None:
-            stage_start = _time.perf_counter() if enabled else 0.0
-            try:
-                decision = self._selector.select(arr, analysis=analysis)
-            except SelectorError:
-                # Every candidate evaluation failed; under a resilience
-                # policy the stream must still start — fall back to the
-                # configured (or first-candidate) codec and let the
-                # chunk-level containment degrade its chunks.
-                if self._config.resilience is None:
-                    raise
-                decision = SelectorDecision(
-                    codec_name=(
-                        self._config.codec
-                        or self._config.candidate_codecs[0]
-                    ),
-                    linearization=(
-                        self._config.linearization or Linearization.ROW
-                    ),
-                    preference=self._config.preference,
-                    improvable=analysis.improvable,
-                    candidates=(),
-                    sample_elements=0,
-                )
-            self._codec = get_codec(decision.codec_name)
-            self._linearization = decision.linearization
-            trial = decision.trial
-            if enabled:
-                tracer.add("select", _time.perf_counter() - stage_start)
-        self._ensure_header()
-
-        crc = _zlib.crc32(view)
-        encoded = encode_chunk_payload(
-            arr, view, analysis, self._linearization, self._codec,
-            policy=self._config.resilience,
-            breakers=self._breakers,
-            chunk_index=self._n_chunks,
-            tracer=tracer,
-            workspace=self._workspace,
-            trial=trial,
+        decision, codec = self._decision, self._codec
+        analysis = trial = None
+        if decision is None or codec is None:
+            # Stream chunks need not be config.chunk_elements long, so
+            # the decision analyzes this whole first chunk; the encoder
+            # reuses that analysis (and the winning trial) for it.
+            lead = self._engine._decide(arr, self._tracer, arr.size)
+            decision = self._decision = lead.decision
+            codec = self._codec = lead.codec
+            analysis, trial = lead.analysis, lead.trial
+            self._ensure_header()
+        blob, report = self._engine._compress_chunk(
+            len(self._reports), arr, decision, codec, self._tracer,
+            analysis=analysis, trial=trial,
         )
-        solver_in = encoded.solver_bytes
-        incompressible = encoded.incompressible
-        if encoded.degraded:
-            # Degraded chunks flush exactly like healthy ones; the
-            # stream just remembers what happened.
-            self._degradation_events.append(
-                DegradationEvent(
-                    chunk_index=self._n_chunks,
-                    cause=encoded.cause or "error",
-                    attempts=encoded.attempts,
-                    encoding=encoded.encoding,
-                    error=encoded.error,
-                )
-            )
-            if enabled:
-                self._instruments.chunks_degraded.inc(
-                    1, cause=encoded.cause or "error"
-                )
-        if encoded.retries:
-            self._retries += encoded.retries
-            if enabled:
-                self._instruments.chunk_retries.inc(encoded.retries)
-        meta = ChunkMetadata(
-            n_elements=arr.size,
-            mode=encoded.mode,
-            mask=encoded.mask,
-            compressed_size=len(encoded.compressed),
-            incompressible_size=len(incompressible),
-            raw_crc32=crc,
-        )
-        # join() materialises the workspace-aliased incompressible view
-        # before the workspace is reused for the next chunk.
-        meta_bytes = meta.encode()
-        blob = b"".join((meta_bytes, encoded.compressed, incompressible))
         stage_start = _time.perf_counter() if enabled else 0.0
-        # Offsets are container-relative (the sink may not start at 0).
-        self._index_entries.append(
-            ChunkIndexRecord(
-                payload_offset=self._bytes_written + len(meta_bytes),
-                compressed_size=len(encoded.compressed),
-                incompressible_size=len(incompressible),
-                n_elements=int(arr.size),
-            )
-        )
         self._sink.write(blob)
         self._bytes_written += len(blob)
-        self._n_elements += int(arr.size)
-        self._n_chunks += 1
+        self._reports.append(report)
         if enabled:
-            tracer.add(
+            self._tracer.add(
                 "write", _time.perf_counter() - stage_start,
                 bytes_out=len(blob),
-            )
-            self._improvable_chunks += 1 if analysis.improvable else 0
-            self._raw_bytes_in += view.nbytes
-            self._solver_bytes += solver_in
-            self._noise_bytes += len(incompressible)
-            self._instruments.record_chunk_outcome(
-                improvable=analysis.improvable,
-                solver_bytes=solver_in,
-                raw_bytes=len(incompressible),
-                stored_bytes=len(blob),
-                seconds=_time.perf_counter() - wall_start,
             )
             self._wall_seconds += _time.perf_counter() - wall_start
         return len(blob)
@@ -400,7 +253,8 @@ class StreamingWriter:
         self._ensure_header()  # empty stream: header with zero chunks
         end = self._sink.tell()
         self._sink.seek(self._header_offset)
-        encoded = self._build_header().encode()
+        header = self._build_header()
+        encoded = header.encode()
         if len(encoded) != self._header_size:
             raise ContainerFormatError(
                 f"final header is {len(encoded)} bytes, placeholder was "
@@ -410,8 +264,11 @@ class StreamingWriter:
         self._sink.seek(end)
         # The footer is the last thing written: a crash before this
         # point leaves a footer-less (but salvageable) chunk chain,
-        # never a misleading index.
-        footer = ContainerFooter(entries=tuple(self._index_entries)).encode()
+        # never a misleading index.  Its offsets are container-relative
+        # (the sink may not start at 0).
+        footer = index_footer_from_reports(
+            self._header_size, self._reports
+        ).encode()
         self._sink.write(footer)
         self._bytes_written += len(footer)
         self._sink.flush()
@@ -421,32 +278,12 @@ class StreamingWriter:
             if self._temp_path is not None:
                 os.replace(self._temp_path, self._final_path)
         self._closed = True
-        if self._metrics.enabled:
-            self._instruments.runs.inc(1, operation="compress")
-            self._instruments.input_bytes.inc(
-                self._raw_bytes_in, operation="compress"
-            )
-            self._instruments.output_bytes.inc(
-                self._bytes_written, operation="compress"
-            )
-            self._last_report = PipelineReport(
-                operation="compress",
-                codec_name=(
-                    self._codec.name if self._codec is not None else None
-                ),
-                linearization=(
-                    self._linearization.value
-                    if self._linearization is not None else None
-                ),
-                n_chunks=self._n_chunks,
-                improvable_chunks=self._improvable_chunks,
-                undetermined_chunks=self._n_chunks - self._improvable_chunks,
-                solver_bytes=self._solver_bytes,
-                raw_bytes=self._noise_bytes,
-                input_bytes=self._raw_bytes_in,
-                output_bytes=self._bytes_written,
-                stage_seconds=self._stream_tracer.stage_seconds(),
-                wall_seconds=self._wall_seconds,
+        if self._engine.collect_metrics:
+            self._engine._publish_run(
+                "compress", header,
+                sum(report.raw_bytes for report in self._reports),
+                self._bytes_written, self._tracer.stage_seconds(),
+                self._wall_seconds, self._reports,
             )
 
     def abort(self) -> None:
@@ -478,25 +315,6 @@ class StreamingWriter:
             self.abort()
         else:
             self.close()
-
-
-def _bounded_readahead(
-    chunks: Iterable[np.ndarray], depth: int
-) -> Iterator[np.ndarray]:
-    """Produce ``chunks`` on a helper thread through a bounded queue.
-
-    The queue depth is the backpressure bound: at most ``depth`` chunks
-    are in flight between the producer and the writer, so a slow sink
-    (e.g. one busy degrading faulty chunks) stalls production instead
-    of buffering the stream in memory.  A producer exception is
-    re-raised at the consuming end; abandoning the generator stops the
-    producer promptly.
-
-    (Thin wrapper over the pipelined engine's
-    :func:`~repro.core.pipeline_engine.bounded_relay`, kept under the
-    streaming name for callers and tests.)
-    """
-    return bounded_relay(chunks, depth, name="isobar-stream-readahead")
 
 
 def stream_compress(
@@ -534,7 +352,7 @@ def stream_compress(
         sink_path, dtype, config, atomic=atomic, metrics=metrics
     )
     source = (
-        _bounded_readahead(chunks, readahead_chunks)
+        bounded_relay(chunks, readahead_chunks, name="isobar-stream-readahead")
         if readahead_chunks > 0
         else chunks
     )

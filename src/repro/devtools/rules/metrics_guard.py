@@ -19,13 +19,6 @@ The null-object proof is intraprocedural but covers the repo's idioms:
 * names assigned from a call to a local factory whose body can return
   a null object (e.g. ``tracer = self._tracer()``);
 * names copied from any of the above (fixpoint over assignments).
-
-Subclasses (``ParallelIsobarPipeline``) inherit ``self._instruments``
-and ``self._tracer()`` from ``repro.core.pipeline`` without re-binding
-them, so the analysis cannot see their construction.  Those two are
-declared null-safe via the ``inherited_null_attrs`` /
-``inherited_factories`` seeds — the base class is itself linted, so
-the proof still bottoms out in checked code.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ __all__ = ["MetricsGuardRule"]
 DEFAULT_HOT_MODULES = frozenset(
     {
         "repro.core.pipeline",
-        "repro.core.parallel",
         "repro.core.stream",
         "repro.analysis.bytefreq",
     }
@@ -76,12 +68,6 @@ _NULL_SAFE_CONSTRUCTORS = frozenset({"PipelineInstruments"})
 
 #: Names in a guard test that prove the metrics path is opt-in.
 _GUARD_NAMES = frozenset({"enabled", "metrics", "collect_metrics"})
-
-#: Attributes seeded null-safe by the base pipeline's constructor.
-DEFAULT_INHERITED_NULL_ATTRS = frozenset({"_instruments"})
-
-#: Inherited factory methods that return a null object when disabled.
-DEFAULT_INHERITED_FACTORIES = frozenset({"_tracer"})
 
 
 def _call_chain(func: ast.AST) -> list[str] | None:
@@ -143,22 +129,9 @@ class MetricsGuardRule(Rule):
         "PipelineInstruments) or wrap it in `if <registry>.enabled:`"
     )
 
-    def __init__(
-        self,
-        hot_modules: Iterable[str] | None = None,
-        inherited_null_attrs: Iterable[str] | None = None,
-        inherited_factories: Iterable[str] | None = None,
-    ):
+    def __init__(self, hot_modules: Iterable[str] | None = None):
         self.hot_modules = frozenset(
             DEFAULT_HOT_MODULES if hot_modules is None else hot_modules
-        )
-        self.inherited_null_attrs = frozenset(
-            DEFAULT_INHERITED_NULL_ATTRS if inherited_null_attrs is None
-            else inherited_null_attrs
-        )
-        self.inherited_factories = frozenset(
-            DEFAULT_INHERITED_FACTORIES if inherited_factories is None
-            else inherited_factories
         )
 
     # -- null-object analysis ---------------------------------------------
@@ -180,8 +153,8 @@ class MetricsGuardRule(Rule):
 
     def _null_safe_names(self, tree: ast.Module) -> set[str]:
         """Fixpoint set of names proven to be null objects when off."""
-        safe: set[str] = set(self.inherited_null_attrs)
-        factories = self._factory_names(tree) | self.inherited_factories
+        safe: set[str] = set()
+        factories = self._factory_names(tree)
         assignments: list[tuple[ast.AST, ast.AST]] = []
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign):

@@ -139,12 +139,11 @@ class ServiceConfig:
         Depth of the decode→writer bridge on ``/v1/decompress``: at
         most this many decoded chunks wait for a slow reader.
     pipeline_workers:
-        Per-request chunk parallelism: > 1 serves each compute request
-        with a :class:`~repro.core.parallel.ParallelIsobarCompressor`
-        running that many pipeline workers (``max_inflight`` requests
-        × ``pipeline_workers`` chunk workers is the compute-thread
-        ceiling).  1 (the default) keeps the serial per-request
-        pipeline.
+        Per-request chunk parallelism: the ``n_workers`` of each
+        request's :class:`~repro.core.pipeline.IsobarCompressor`
+        (``max_inflight`` requests × ``pipeline_workers`` chunk
+        workers is the compute-thread ceiling).  1 (the default) runs
+        each request's chunks inline.
     pipeline_max_inflight:
         Backpressure bound handed to the pipelined engine (None =
         engine default of ``max(2 * pipeline_workers, 4)``).
@@ -561,19 +560,12 @@ class IsobarService:
                     self._config.isobar.replace(**overrides)
                     if overrides else self._config.isobar
                 )
-                if self._config.pipeline_workers > 1:
-                    from repro.core.parallel import ParallelIsobarCompressor
-
-                    compressor = ParallelIsobarCompressor(
-                        config,
-                        self._config.pipeline_workers,
-                        max_inflight=self._config.pipeline_max_inflight,
-                        metrics=self._metrics,
-                    )
-                else:
-                    compressor = IsobarCompressor(
-                        config, metrics=self._metrics
-                    )
+                compressor = IsobarCompressor(
+                    config,
+                    self._config.pipeline_workers,
+                    max_inflight=self._config.pipeline_max_inflight,
+                    metrics=self._metrics,
+                )
                 self._compressors[key] = compressor
             return compressor
 

@@ -31,6 +31,7 @@ from repro.core.exceptions import InvalidInputError
 from repro.core.metadata import (
     ChunkMetadata,
     ContainerHeader,
+    iter_chunk_records,
     locate_footer,
 )
 
@@ -128,15 +129,10 @@ def chunk_extents(data: bytes) -> list[tuple[int, int]]:
     """Byte extents ``[(start, end), ...]`` of each chunk in a *clean*
     container (record + payloads).  Used to aim structural faults."""
     header, offset = ContainerHeader.decode(data)
-    extents = []
-    for _ in range(header.n_chunks):
-        start = offset
-        meta, payload_offset = ChunkMetadata.decode(
-            data, offset, header.element_width
-        )
-        offset = payload_offset + meta.compressed_size + meta.incompressible_size
-        extents.append((start, offset))
-    return extents
+    return [
+        (record.offset, record.end)
+        for record in iter_chunk_records(data, header, offset)
+    ]
 
 
 def chunk_chain_end(data: bytes) -> int:

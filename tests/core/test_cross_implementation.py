@@ -1,10 +1,12 @@
 """Cross-implementation consistency: one format, many readers/writers.
 
-The container format has four writers (pipeline, parallel, streaming,
-concat) and five readers (pipeline, parallel, streaming, ContainerReader,
-validator).  These property tests drive random inputs through every
-pairing and assert bit-exact agreement — the strongest guarantee a
-multi-implementation format can offer.
+The container format has two encode paths: the chunk engine
+(``IsobarCompressor`` at any worker count, which the streaming writer
+also runs on) and concat, which re-frames existing chunks.  It has
+four readers: the engine's decode (any worker count), the streaming
+reader, ContainerReader and the validator.  These property tests drive
+random inputs through the writer/reader pairings, one and several
+workers included, and assert bit-exact agreement.
 """
 
 import numpy as np

@@ -105,17 +105,27 @@ class TestParallelEqualsSerial:
             == serial.metrics.histogram("isobar_chunk_seconds").count()
         )
 
-    def test_parallel_decode_counters(self, data):
-        parallel = ParallelIsobarCompressor(
-            _config(), n_workers=4, collect_metrics=True
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_parallel_decode_counters(self, data, n_workers):
+        # One decode stage call per chunk, fed its payload bytes, for
+        # every worker count.
+        compressor = IsobarCompressor(
+            _config(), n_workers, collect_metrics=True
         )
-        blob = parallel.compress(data)
-        restored = parallel.decompress(blob)
+        result = compressor.compress_detailed(data)
+        restored = compressor.decompress(result.payload)
         assert np.array_equal(restored, data)
-        reg = parallel.metrics
+        reg = compressor.metrics
         assert reg.counter("isobar_chunks_decoded_total").total() == 5
         assert (
             reg.counter("isobar_stage_calls_total").value(stage="decode") == 5
+        )
+        payload_bytes = sum(
+            c.stored_bytes - c.metadata_bytes for c in result.chunks
+        )
+        assert (
+            reg.counter("isobar_stage_bytes_in_total").value(stage="decode")
+            == payload_bytes
         )
 
 
