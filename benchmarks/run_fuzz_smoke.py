@@ -3,9 +3,11 @@
 
 Round-trips ``--n`` seeded random containers through random fault
 injection (:mod:`repro.testing.faults`), then exercises every reader on
-the wreckage — strict decode, both lenient salvage policies and the
-validator — asserting the containment contract: **no exception other
-than** :class:`repro.core.exceptions.IsobarError` **may escape**, and
+the wreckage — strict decode, both lenient salvage policies, the
+random-access ``ContainerFile`` under ``raise`` and ``salvage-skip``,
+and the ``fsck`` checker — asserting the containment contract: **no
+exception other than** :class:`repro.core.exceptions.IsobarError`
+**may escape** (fsck may not raise at all), and
 whatever skip-mode salvage recovers must be bit-exact chunks of the
 original data.
 
@@ -26,14 +28,26 @@ import sys
 import numpy as np
 
 from repro.core.exceptions import IsobarError
+from repro.core.fsck import fsck
 from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig
+from repro.core.random_access import ContainerFile
 from repro.core.salvage import salvage_decompress
-from repro.core.validate import validate_container
 from repro.datasets.synthetic import build_structured
 from repro.testing.faults import FAULT_TYPES, inject
 
 _DTYPES = (np.float64, np.float32)
+
+
+#: Every reader driven over the damaged bytes, by name.
+_READERS = (
+    ("strict", lambda d: IsobarCompressor().decompress(d)),
+    ("skip", lambda d: salvage_decompress(d, policy="skip").values),
+    ("zero_fill", lambda d: salvage_decompress(d, policy="zero_fill").values),
+    ("file", lambda d: ContainerFile(d).read_all()),
+    ("file_skip", lambda d: ContainerFile(d, errors="salvage-skip").read_all()),
+    ("fsck", fsck),
+)
 
 
 def _build_case(rng: np.random.Generator) -> tuple[bytes, np.ndarray, int]:
@@ -70,17 +84,18 @@ def run_case(case_seed: int) -> list[str]:
         except IsobarError:
             continue  # e.g. truncate-to-0 then re-inject: fine to refuse
 
-        for reader_name, reader in (
-            ("strict", lambda d: IsobarCompressor().decompress(d)),
-            ("skip", lambda d: salvage_decompress(d, policy="skip").values),
-            ("zero_fill",
-             lambda d: salvage_decompress(d, policy="zero_fill").values),
-            ("validate", validate_container),
-        ):
+        for reader_name, reader in _READERS:
             try:
                 result = reader(injected.data)
             except IsobarError:
-                continue  # contained failure: the contract holds
+                # A contained failure keeps the contract, except that
+                # fsck must report damage rather than raise.
+                if reader_name == "fsck":
+                    failures.append(
+                        f"{tag} reader=fsck: raised instead of reporting "
+                        f"({injected.description})"
+                    )
+                continue
             except Exception as exc:  # noqa: BLE001 - the point of the fuzz
                 failures.append(
                     f"{tag} reader={reader_name}: {type(exc).__name__} "
@@ -142,7 +157,7 @@ def main() -> int:
             print(f"  {line}", file=sys.stderr)
         return 1
     print(f"\nall {args.n} cases contained "
-          f"({len(FAULT_TYPES)} faults x 4 readers each)")
+          f"({len(FAULT_TYPES)} faults x {len(_READERS)} readers each)")
     return 0
 
 

@@ -5,7 +5,7 @@ Measures, across container sizes:
 
 * **open latency** — `ContainerFile` via the index footer (O(footer)),
   the same file with its footer stripped (fallback structural scan),
-  and the in-memory `ContainerReader` (load + scan);
+  and `ContainerFile` over the container bytes in memory (footer open);
 * **random range reads** — many small `read_range` calls through a
   footer-opened `ContainerFile` against the strict decompress-then-
   slice baseline.
@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.metadata import locate_footer
 from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig
-from repro.core.random_access import ContainerFile, ContainerReader
+from repro.core.random_access import ContainerFile
 from repro.datasets.synthetic import build_structured
 
 _CHUNK = 50_000
@@ -72,7 +72,7 @@ def _measure_case(n_elements: int, repeats: int, n_reads: int,
             assert reader.opened_via == "scan"
 
     def open_memory():
-        ContainerReader(payload)
+        assert ContainerFile(payload).opened_via == "footer"
 
     row = {
         "n_elements": n_elements,

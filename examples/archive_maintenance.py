@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Archive maintenance: append, prune, validate — a day in production.
+"""Archive maintenance: append, prune, check — a day in production.
 
 A long campaign accumulates compressed output.  This example walks the
 housekeeping loop a production archive needs:
@@ -8,8 +8,9 @@ housekeeping loop a production archive needs:
    without recompression (pure re-framing);
 2. the checkpoint store is **pruned** by a retention policy (keep the
    last few steps plus every 5th);
-3. the merged archive is **deep-validated** (structure + CRCs) and then
-   served through a **random-access** range query.
+3. the merged archive is **checked** by fsck (structure, every
+   chunk's CRC, index footer) and then served through a
+   **random-access** range query.
 
 Run:  python examples/archive_maintenance.py
 """
@@ -19,7 +20,7 @@ import tempfile
 import numpy as np
 
 from repro import IsobarCompressor, IsobarConfig
-from repro.core import ContainerReader, concat_containers, validate_container
+from repro.core import ContainerFile, concat_containers, fsck
 from repro.insitu import (
     CheckpointStore,
     FieldSimulation,
@@ -56,13 +57,13 @@ def main() -> None:
           f"{policy.keep_every}th): dropped steps {dropped}, "
           f"kept {store.steps()}")
 
-    # --- 3. validation + queries over the merged archive ---
-    report = validate_container(archive)
-    print("validation:", report.summary_lines()[-1],
-          f"({report.n_chunks_checked} chunks checked)")
-    assert report.valid
+    # --- 3. check + queries over the merged archive ---
+    report = fsck(archive)
+    print("check:", report.summary_lines()[-1],
+          f"({report.n_chunks} chunks decoded and CRC-checked)")
+    assert report.intact and report.clean
 
-    reader = ContainerReader(archive)
+    reader = ContainerFile(archive)
     day3 = reader.read_range(3 * 30_000, 4 * 30_000)
     assert np.array_equal(day3, days[3])
     print(f"range query: day 3 extracted from the archive bit-exactly "

@@ -4,7 +4,7 @@
 The chunked container format supports random access: a range read only
 decodes the chunks it overlaps.  This example stores a large field,
 serves point and range queries through
-:class:`repro.core.random_access.ContainerReader`, and compares the
+:class:`repro.core.random_access.ContainerFile`, and compares the
 work done against naive full decompression.
 
 Run:  python examples/query_random_access.py
@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from repro import IsobarCompressor, IsobarConfig
-from repro.core import ContainerReader
+from repro.core import ContainerFile
 from repro.datasets import generate_dataset
 
 CHUNK = 30_000
@@ -30,7 +30,7 @@ def main() -> None:
     print(f"stored {values.nbytes / 1e6:.1f} MB as {len(payload) / 1e6:.1f} MB "
           f"({values.nbytes / len(payload):.3f}x) in {N // CHUNK} chunks\n")
 
-    reader = ContainerReader(payload)
+    reader = ContainerFile(payload)
 
     # Point queries.
     for position in (0, 123_456, N - 1):
@@ -50,7 +50,7 @@ def main() -> None:
 
     # Full decode for comparison (fresh reader: no warm cache).
     t0 = time.perf_counter()
-    everything = ContainerReader(payload).read_range(0, N)
+    everything = ContainerFile(payload).read_range(0, N)
     full_seconds = time.perf_counter() - t0
     assert np.array_equal(everything, values)
     print(f"full decode: {full_seconds * 1e3:.1f} ms "

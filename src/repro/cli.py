@@ -32,6 +32,7 @@ and ``--resilience-json PATH`` dumps the degradation report (see
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("input", help="ISOBAR container")
 
     verify = sub.add_parser(
-        "verify", help="deep-validate an ISOBAR container"
+        "verify", help="check an ISOBAR container (fsck report + verdict)"
     )
     verify.add_argument("input", help="ISOBAR container")
     verify.add_argument(
@@ -584,12 +585,12 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    from repro.core.random_access import ContainerReader
+    from repro.core.random_access import ContainerFile
 
-    with open(args.input, "rb") as handle:
-        payload = handle.read()
-    reader = ContainerReader(payload)
-    header = reader.header
+    size = os.path.getsize(args.input)
+    with ContainerFile(args.input) as reader:
+        header = reader.header
+        entries = reader.chunk_index()
     print(f"dtype           : {header.dtype}")
     print(f"elements        : {header.n_elements} (shape {header.shape})")
     print(f"codec           : {header.codec_name}")
@@ -599,28 +600,26 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"chunks          : {header.n_chunks} "
           f"(nominal {header.chunk_elements} elements each)")
     original = header.n_elements * header.element_width
-    print(f"ratio           : {original / len(payload):.3f} "
-          f"({original} -> {len(payload)} bytes)")
-    improvable = sum(
-        1 for entry in reader.chunk_index()
-        if entry.metadata.incompressible_size > 0
-    )
+    print(f"ratio           : {original / size:.3f} "
+          f"({original} -> {size} bytes)")
+    improvable = sum(1 for entry in entries if entry.incompressible_size > 0)
     print(f"improvable      : {improvable}/{header.n_chunks} chunks "
           f"partitioned")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.core.validate import validate_container
+    from repro.core.fsck import fsck
 
-    with open(args.input, "rb") as handle:
-        payload = handle.read()
-    report = validate_container(payload)
+    report = fsck(args.input)
     for line in report.summary_lines():
         print(line)
+    print("VERIFY: " + ("VALID" if report.intact else "INVALID"))
     if args.deep:
         from repro.core.salvage import salvage_decompress
 
+        with open(args.input, "rb") as handle:
+            payload = handle.read()
         try:
             salvaged = salvage_decompress(payload, policy="skip")
         except IsobarError as exc:
@@ -631,7 +630,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 line for line in lines
                 if line.startswith(("policy ", "RESULT:"))
             ))
-    return 0 if report.valid else 1
+    # 0: every declared element decodes with a good CRC (footer-only
+    # damage included); 1: data damage.
+    return 0 if report.intact else 1
 
 
 def _cmd_fsck(args: argparse.Namespace) -> int:
@@ -675,12 +676,9 @@ def _cmd_salvage(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    from repro.core.random_access import ContainerReader
+    from repro.core.random_access import ContainerFile
 
-    with open(args.input, "rb") as handle:
-        payload = handle.read()
-    reader = ContainerReader(payload)
-    with Stopwatch() as sw:
+    with ContainerFile(args.input) as reader, Stopwatch() as sw:
         window = reader.read_range(args.start, args.stop)
     save_raw(args.output, window)
     first = reader.chunk_for_element(args.start).index if window.size else 0
@@ -695,7 +693,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_concat(args: argparse.Namespace) -> int:
     from repro.core.concat import concat_containers
-    from repro.core.random_access import ContainerReader
+    from repro.core.random_access import ContainerFile
 
     payloads = []
     for path in args.inputs:
@@ -704,7 +702,7 @@ def _cmd_concat(args: argparse.Namespace) -> int:
     merged = concat_containers(payloads)
     with open(args.output, "wb") as handle:
         handle.write(merged)
-    reader = ContainerReader(merged)
+    reader = ContainerFile(merged)
     print(f"merged {len(payloads)} containers -> {args.output}: "
           f"{reader.n_elements} elements in {reader.n_chunks} chunks "
           f"({len(merged)} bytes, no recompression)")

@@ -1,12 +1,15 @@
-"""Container filesystem check: ``isobar fsck [--repair]``.
+"""Container check: ``isobar fsck [--repair]`` and ``isobar verify``.
 
 An archival container can go wrong in ways strict readers only surface
 as exceptions: a lost or bit-flipped index footer, a stale footer left
 behind by an append, payload regions chewed up by storage faults, or a
 ``<path>.tmp.<pid>`` orphan abandoned by a :class:`StreamingWriter`
 that died before ``close()``.  :func:`fsck` inspects all of it in one
-pass and produces a structured :class:`FsckReport`; with
-``repair=True`` it fixes what can be fixed safely:
+pass — header, chunk chain, every chunk's payload and CRC, and the
+index footer — and produces a structured :class:`FsckReport` instead
+of an exception trail.  It checks a container path or a container
+held in memory; with ``repair=True`` (paths only) it fixes what can be
+fixed safely:
 
 * **Footer repair** — when the chunk chain is intact but the footer is
   lost, truncated, CRC-damaged or inconsistent with the chain, the
@@ -19,10 +22,13 @@ pass and produces a structured :class:`FsckReport`; with
   chunk is dropped, the footer appended, and the file atomically
   renamed into place.
 
-Payload damage (unreadable chunk regions) is *reported*, never
-repaired — fsck restores indexing and bookkeeping, it does not invent
-data.  Use :func:`repro.core.salvage.salvage_decompress` to recover
-what survives, and ``isobar verify --deep`` for per-chunk CRC audits.
+Payload damage (unreadable chunk regions, undecodable payloads, CRC
+mismatches) is *reported*, never repaired — fsck restores indexing and
+bookkeeping, it does not invent data.  Use
+:func:`repro.core.salvage.salvage_decompress` to recover what survives.
+``isobar verify`` prints the same report with a data-integrity verdict
+(:attr:`FsckReport.intact`): footer-only damage leaves every element
+decodable.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.codecs.base import get_codec
 from repro.core.exceptions import (
+    ConfigurationError,
     InvalidInputError,
     IsobarError,
     UnknownCodecError,
@@ -43,6 +50,7 @@ from repro.core.metadata import (
     ContainerHeader,
     locate_footer,
 )
+from repro.core.pipeline import decode_chunk_payload
 
 __all__ = ["FsckIssue", "FsckReport", "OrphanReport", "fsck"]
 
@@ -51,10 +59,12 @@ __all__ = ["FsckIssue", "FsckReport", "OrphanReport", "fsck"]
 class FsckIssue:
     """One problem found in the container, localised to a byte region.
 
-    ``kind`` groups related problems: ``"chain"`` (unreadable payload
-    region), ``"header"`` (header/chain disagreement), ``"footer"``
-    (index footer damage) or ``"orphan"`` (abandoned temp file).
-    ``repairable`` tells whether ``--repair`` can fix it.
+    ``kind`` groups related problems: ``"header"`` (unreadable header
+    or header/chain disagreement), ``"chain"`` (unreadable chunk
+    record region), ``"payload"`` (a chunk whose payload does not
+    decode or fails its CRC) or ``"footer"`` (index footer damage, or
+    stray bytes before it).  ``repairable`` tells whether ``--repair``
+    can fix it.
     """
 
     kind: str
@@ -82,6 +92,7 @@ class FsckReport:
 
     path: str
     exists: bool = True
+    header: ContainerHeader | None = None
     footer_status: str = "absent"
     footer_detail: str = ""
     n_chunks: int = 0
@@ -100,6 +111,18 @@ class FsckReport:
         """
         return not self.issues and not any(
             not orphan.finalized for orphan in self.orphans
+        )
+
+    @property
+    def intact(self) -> bool:
+        """Every declared element decodes with a good CRC (the
+        ``isobar verify`` verdict).
+
+        Footer issues leave the data whole — readers fall back to the
+        chain scan — so only they are tolerated.
+        """
+        return self.exists and all(
+            issue.kind == "footer" for issue in self.issues
         )
 
     @property
@@ -129,6 +152,13 @@ class FsckReport:
         if not self.exists:
             lines.append("container file does not exist")
         else:
+            if self.header is not None:
+                lines.append(
+                    f"header: {self.header.dtype}, "
+                    f"{self.header.n_elements} elements, "
+                    f"{self.header.n_chunks} chunks, "
+                    f"codec {self.header.codec_name}"
+                )
             lines.append(
                 f"chain: {self.n_chunks} chunks, {self.n_elements} elements"
             )
@@ -169,7 +199,8 @@ def _walk_chain(data: bytes, *, to_eof: bool = False) -> tuple[
     int,
     list[FsckIssue],
 ]:
-    """Walk the chunk chain structurally via the salvage scanner.
+    """Walk the chunk chain via the salvage scanner, decoding every
+    chunk's payload (so its CRC is checked).
 
     Returns ``(header, chain, chain_end, issues)`` where ``chain_end``
     is the offset just past the last readable chunk; a ``None`` header
@@ -202,7 +233,8 @@ def _walk_chain(data: bytes, *, to_eof: bool = False) -> tuple[
 
     chain: list[ChunkIndexRecord] = []
     chain_end = offset
-    for event in scan_chunks(data, header, offset, codec, to_eof=to_eof):
+    events = scan_chunks(data, header, offset, codec, to_eof=to_eof)
+    for ordinal, event in enumerate(events):
         if event.kind == "gap":
             issues.append(
                 FsckIssue(
@@ -215,6 +247,19 @@ def _walk_chain(data: bytes, *, to_eof: bool = False) -> tuple[
                 break
             continue
         meta = event.meta
+        compressed_end = event.payload_offset + meta.compressed_size
+        try:
+            decode_chunk_payload(
+                header, codec, meta,
+                data[event.payload_offset:compressed_end],
+                data[compressed_end:event.end],
+                chunk_index=ordinal, byte_offset=event.start,
+            )
+        except IsobarError as exc:
+            issues.append(
+                FsckIssue("payload", event.start, event.end, str(exc),
+                          repairable=False)
+            )
         chain.append(
             ChunkIndexRecord(
                 payload_offset=event.payload_offset,
@@ -265,8 +310,9 @@ def _check_footer(
     chain_end: int,
     chain_intact: bool,
 ) -> None:
-    """Classify the footer against the walked chain (mirrors
-    ``isobar verify``'s four-way status) and record its issue."""
+    """Classify the footer against the walked chain — ``ok``,
+    ``absent``, ``rebuildable`` or ``inconsistent`` — and record its
+    issue (the one place a footer is judged against the chain)."""
     location = locate_footer(data)
     trailing = len(data) - chain_end
     if location.ok:
@@ -277,7 +323,7 @@ def _check_footer(
             if chain_intact and chain_end < location.start:
                 report.issues.append(
                     FsckIssue(
-                        "chain", chain_end, location.start,
+                        "footer", chain_end, location.start,
                         f"{location.start - chain_end} stray bytes between "
                         "the last chunk and the footer",
                         repairable=False,
@@ -421,23 +467,60 @@ def _finalize_orphan(
     )
 
 
-def fsck(path: str | os.PathLike, *, repair: bool = False) -> FsckReport:
-    """Check (and optionally repair) a container file and its orphans.
+def _check_container(
+    report: FsckReport, data: bytes
+) -> tuple[list[ChunkIndexRecord], int, bool]:
+    """Check one container's bytes into ``report``.
 
-    Validates header ↔ chunk-chain ↔ footer agreement, locates every
-    unreadable payload region, and looks for ``<path>.tmp.<pid>``
-    files abandoned by crashed streaming writers.  With
-    ``repair=True``: rebuilds a lost/damaged/stale footer from an
+    Returns ``(chain, chain_end, chain_intact)`` for the footer repair,
+    which depends only on the chain *structure*: payload damage is
+    reported but does not stop an intact chain from being re-indexed.
+    """
+    header, chain, chain_end, issues = _walk_chain(data)
+    report.header = header
+    report.issues.extend(issues)
+    report.n_chunks = len(chain)
+    report.n_elements = sum(entry.n_elements for entry in chain)
+    chain_intact = all(issue.kind == "payload" for issue in issues)
+    if header is not None:
+        _check_footer(report, data, chain, chain_end, chain_intact)
+    return chain, chain_end, chain_intact
+
+
+def fsck(
+    source: bytes | bytearray | memoryview | str | os.PathLike,
+    *,
+    repair: bool = False,
+) -> FsckReport:
+    """Check (and optionally repair) a container and its orphans.
+
+    Validates header ↔ chunk-chain ↔ footer agreement, decodes every
+    chunk (so a CRC mismatch is caught and located), locates every
+    unreadable chunk region, and — for a path — looks for
+    ``<path>.tmp.<pid>`` files abandoned by crashed streaming writers.
+    With ``repair=True``: rebuilds a lost/damaged/stale footer from an
     intact chain (byte-identical to the original), appends a footer to
     pre-footer containers, finalizes orphans whose destination is
     missing, and removes empty temp files.  Lost payload is reported,
     never fabricated.
 
-    Never raises for content damage — everything lands in the report.
-    ``path`` may name a container that does not exist yet when an
-    orphan for it does (crash before first publish).
+    ``source`` is a container path or the container bytes themselves;
+    bytes have no file to rewrite and no orphans, so ``repair=True``
+    with bytes raises :class:`ConfigurationError`.  Never raises for
+    content damage — everything lands in the report.  A path may name
+    a container that does not exist yet when an orphan for it does
+    (crash before first publish).
     """
-    final_path = os.fspath(path)
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        if repair:
+            raise ConfigurationError(
+                "fsck can only repair a container path, not bytes"
+            )
+        report = FsckReport(path="<bytes>")
+        _check_container(report, bytes(source))
+        return report
+
+    final_path = os.fspath(source)
     orphan_paths = sorted(glob.glob(glob.escape(final_path) + ".tmp.*"))
     report = FsckReport(path=final_path)
     exists = os.path.exists(final_path)
@@ -447,24 +530,18 @@ def fsck(path: str | os.PathLike, *, repair: bool = False) -> FsckReport:
         )
 
     if exists:
-        with open(final_path, "rb") as source:
-            data = source.read()
-        header, chain, chain_end, issues = _walk_chain(data)
-        report.issues.extend(issues)
-        report.n_chunks = len(chain)
-        report.n_elements = sum(entry.n_elements for entry in chain)
-        if header is not None:
-            chain_intact = not issues
-            _check_footer(report, data, chain, chain_end, chain_intact)
-            needs_footer = report.footer_status in (
-                "rebuildable", "inconsistent", "absent"
-            )
-            footer_repairable = chain_intact and (
-                report.footer_status != "absent"
-                or len(data) == chain_end  # clean pre-footer upgrade
-            )
-            if repair and needs_footer and footer_repairable:
-                _repair_footer(report, final_path, data, chain, chain_end)
+        with open(final_path, "rb") as handle:
+            data = handle.read()
+        chain, chain_end, chain_intact = _check_container(report, data)
+        needs_footer = report.header is not None and report.footer_status in (
+            "rebuildable", "inconsistent", "absent"
+        )
+        footer_repairable = chain_intact and (
+            report.footer_status != "absent"
+            or len(data) == chain_end  # clean pre-footer upgrade
+        )
+        if repair and needs_footer and footer_repairable:
+            _repair_footer(report, final_path, data, chain, chain_end)
     else:
         report.exists = False
 

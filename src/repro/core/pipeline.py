@@ -142,9 +142,9 @@ def decode_chunk_payload(
 ) -> np.ndarray:
     """Decode one chunk's payload streams back into an element array.
 
-    This is the single authoritative chunk decoder shared by the serial
-    pipeline, the parallel decoder, the streaming reader, the validator
-    and the salvage scanner.  Every failure — solver error, stream-length
+    This is the single authoritative chunk decoder shared by the chunk
+    engine, the streaming reader, the random-access reader, fsck and the
+    salvage scanner.  Every failure — solver error, stream-length
     mismatch, CRC mismatch — is re-raised as an :class:`IsobarError`
     whose message carries the chunk index and absolute byte offset when
     the caller provides them, so corruption reports always point at the

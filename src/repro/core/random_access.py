@@ -1,27 +1,24 @@
 """Random access into ISOBAR containers (database-style reads).
 
-Two readers serve point and range queries without decompressing whole
-streams:
+One reader, :class:`ContainerFile`, serves point and range queries
+without decompressing whole streams, over a container held in memory,
+a file path or a seekable binary file object.  It opens via the
+trailing chunk-index footer in **O(footer)** work (header + footer
+reads only, no chain scan) and seeks straight to chunk records.  When
+the footer is missing, truncated, CRC-damaged or inconsistent with the
+header, it falls back transparently to the structural scan (emitting
+``isobar_container_footer_fallback_total{reason=}``), so pre-footer
+containers and damaged archives stay readable.
+:class:`ContainerReader` is the same reader under its in-memory name.
 
-* :class:`ContainerReader` — in-memory: indexes a container byte string
-  with one metadata pass, then decodes chunks on demand;
-* :class:`ContainerFile` — file-backed: opens via the trailing
-  chunk-index footer in **O(footer)** work (header + footer reads
-  only, no chain scan, no whole-stream load) and seeks straight to
-  chunk records.  When the footer is missing, truncated, CRC-damaged
-  or inconsistent with the header, it falls back transparently to the
-  structural scan (emitting
-  ``isobar_container_footer_fallback_total{reason=}``), so pre-footer
-  containers and damaged archives stay readable.
-
-Both expose the same query surface —
+The query surface —
 
 * ``read_chunk(i)`` — decode exactly one chunk;
 * ``read_range(start, stop)`` — decode only the chunks overlapping an
   element range and slice out the requested elements;
 * ``element(i)`` — point lookup
 
-— and the same ``errors=`` damage policy and ``cache_chunks=`` LRU
+— shares one ``errors=`` damage policy and ``cache_chunks=`` LRU
 bound.  For ICDE's query workloads this is the payoff of chunked
 framing: a range read touches ``O(range / chunk_elements)`` chunks
 instead of the whole stream.
@@ -30,6 +27,8 @@ instead of the whole stream.
 from __future__ import annotations
 
 import bisect
+import io
+import math
 import os
 import struct
 from collections import OrderedDict
@@ -71,18 +70,12 @@ _TAIL_PROBE = 4096
 
 @dataclass(frozen=True)
 class ChunkIndexEntry:
-    """Location of one chunk inside the container byte stream.
-
-    ``metadata`` is populated eagerly by the scanning readers; a
-    footer-opened :class:`ContainerFile` leaves it ``None`` until the
-    chunk is actually read (the footer alone locates the payload).
-    """
+    """Location of one chunk inside the container byte stream."""
 
     index: int
     element_start: int
     element_stop: int
     payload_offset: int
-    metadata: ChunkMetadata | None = None
     compressed_size: int = 0
     incompressible_size: int = 0
 
@@ -115,7 +108,6 @@ def _scan_index(
                 element_start=element_cursor,
                 element_stop=element_cursor + meta.n_elements,
                 payload_offset=record.payload_offset,
-                metadata=meta,
                 compressed_size=meta.compressed_size,
                 incompressible_size=meta.incompressible_size,
             )
@@ -203,37 +195,139 @@ class _ChunkCache:
         return len(self._entries)
 
 
-class _RangeReaderBase:
-    """Query surface shared by the in-memory and file-backed readers.
+class ContainerFile:
+    """Random access into a container with O(1) open via the index footer.
 
-    Subclasses provide ``_load_chunk(entry)`` (fetch + decode one
-    chunk, raising :class:`IsobarError` on damage); this base supplies
-    the element-span index, the LRU memoisation, the ``errors=``
-    policy, and the range/point read logic on top.
+    Opening reads only the header prefix and the trailing footer —
+    cost proportional to the footer, independent of payload size — and
+    each ``read_chunk`` then seeks directly to its record.  When the
+    footer cannot be used (missing on pre-footer containers, truncated,
+    CRC-failed, or inconsistent with the header) the reader falls back
+    transparently to walking the chunk chain, and counts the event
+    under ``isobar_container_footer_fallback_total{reason=}``.
+
+    ``source`` is a bytes-like container, a filesystem path or a
+    seekable binary file object.  Bytes are wrapped in
+    :class:`io.BytesIO`, which shares rather than copies a ``bytes``
+    buffer; bytes and path-opened handles are owned and closed by
+    :meth:`close` / the context manager, a caller-provided handle stays
+    the caller's.  Instances are not thread-safe: they share one seek
+    cursor.
+
+    ``errors`` selects the shared damage policy: ``"raise"`` (default)
+    propagates the located exception of the first damaged chunk read;
+    ``"salvage-skip"`` yields an empty chunk in its place (range reads
+    simply drop the lost elements); ``"salvage-zero"`` substitutes zero
+    elements of the declared chunk length, keeping element positions
+    stable.  Damage to a chunk record or payload surfaces when that
+    chunk is read, under this policy.
+
+    ``cache_chunks`` bounds the decoded-chunk memoisation: ``None``
+    (default) keeps every decoded chunk, an integer keeps an LRU of at
+    most that many, ``0`` disables caching.
     """
 
-    _header: ContainerHeader
-    _codec: Codec
-    _errors: str
-    _index: list[ChunkIndexEntry]
-    _starts: list[int]
-    _cache: _ChunkCache
-
-    def _init_base(
+    def __init__(
         self,
-        header: ContainerHeader,
-        index: list[ChunkIndexEntry],
-        errors: str,
-        cache_chunks: int | None,
-    ) -> None:
-        self._header = header
-        self._codec = get_codec(header.codec_name)
+        source: bytes | bytearray | memoryview | str | os.PathLike | BinaryIO,
+        *,
+        errors: str = "raise",
+        cache_chunks: int | None = None,
+        metrics: MetricsRegistry | None = None,
+    ):
+        registry = NULL_REGISTRY if metrics is None else metrics
+        self._instruments = PipelineInstruments(registry)
+        if isinstance(source, (bytes, bytearray, memoryview)):
+            self._file: BinaryIO = io.BytesIO(source)
+            self._owned = True
+        elif isinstance(source, (str, os.PathLike)):
+            self._file = open(source, "rb")
+            self._owned = True
+        else:
+            self._file = source
+            self._owned = False
+        self._closed = False
+        self._fallback_reason: str | None = None
+        try:
+            self._header, self._index = self._open_index()
+        except BaseException:
+            if self._owned:
+                self._file.close()
+            raise
+        self._codec: Codec = get_codec(self._header.codec_name)
         self._errors = normalize_errors(errors)
-        self._index = index
-        self._starts = [entry.element_start for entry in index]
+        self._starts = [entry.element_start for entry in self._index]
         self._cache = _ChunkCache(cache_chunks)
 
+    def _open_index(self) -> tuple[ContainerHeader, list[ChunkIndexEntry]]:
+        prefix = self._pread(0, _HEADER_PROBE)
+        header, header_end = ContainerHeader.decode(prefix)
+        self._file.seek(0, os.SEEK_END)
+        file_size = self._file.tell()
+
+        probe_len = min(file_size, _TAIL_PROBE)
+        tail = self._pread(file_size - probe_len, probe_len)
+        location = locate_footer(tail)
+        if location.status == "truncated" and probe_len < file_size:
+            # The trailer declares a footer longer than the probe — not
+            # necessarily damage.  Re-read exactly footer_len bytes and
+            # classify again; a genuinely impossible length stays
+            # "truncated".
+            (footer_len,) = struct.unpack_from("<I", tail, len(tail) - 8)
+            if footer_len <= file_size:
+                tail = self._pread(file_size - footer_len, footer_len)
+                location = locate_footer(tail)
+        if location.ok:
+            assert location.footer is not None
+            footer_start = file_size - (len(tail) - location.start)
+            index = _footer_index(
+                location.footer, header, header_end, footer_start
+            )
+            if index is not None:
+                return header, index
+            reason = "inconsistent"
+        else:
+            reason = location.status
+
+        # Fallback: the structural scan over the whole stream.  Strictly
+        # worse than the footer path (O(n_chunks) and a full read) but
+        # keeps every pre-footer and damaged container readable.
+        self._fallback_reason = reason
+        self._instruments.footer_fallback.inc(1, reason=reason)
+        data = self._pread(0, file_size)
+        return header, _scan_index(data, header, header_end)
+
+    def _pread(self, offset: int, n_bytes: int) -> bytes:
+        self._file.seek(offset)
+        return self._file.read(n_bytes)
+
+    # -- lifecycle --------------------------------------------------------
+
+    def close(self) -> None:
+        """Release the underlying file handle (owned handles only)."""
+        if self._closed:
+            return
+        self._closed = True
+        if self._owned:
+            self._file.close()
+
+    def __enter__(self) -> "ContainerFile":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     # -- introspection ----------------------------------------------------
+
+    @property
+    def opened_via(self) -> str:
+        """``"footer"`` (O(1) open) or ``"scan"`` (fallback walk)."""
+        return "scan" if self._fallback_reason is not None else "footer"
+
+    @property
+    def fallback_reason(self) -> str | None:
+        """Why the footer was unusable (``None`` on the footer path)."""
+        return self._fallback_reason
 
     @property
     def header(self) -> ContainerHeader:
@@ -271,7 +365,33 @@ class _RangeReaderBase:
     # -- decoding ---------------------------------------------------------
 
     def _load_chunk(self, entry: ChunkIndexEntry) -> np.ndarray:
-        raise NotImplementedError
+        """Read one chunk's record and payloads, check the record against
+        the index entry, and decode it (one seek, one read)."""
+        record_nbytes = chunk_record_nbytes(self._header.element_width)
+        record_offset = entry.payload_offset - record_nbytes
+        blob = self._pread(
+            record_offset,
+            record_nbytes + entry.compressed_size + entry.incompressible_size,
+        )
+        meta, payload_pos = ChunkMetadata.decode(
+            blob, 0, self._header.element_width
+        )
+        if (
+            meta.compressed_size != entry.compressed_size
+            or meta.incompressible_size != entry.incompressible_size
+            or meta.n_elements != entry.n_elements
+        ):
+            raise ContainerFormatError(
+                f"chunk {entry.index} at byte offset {record_offset}: "
+                "chunk record disagrees with the chunk index "
+                "(container modified after indexing?)"
+            )
+        compressed_end = payload_pos + entry.compressed_size
+        return decode_chunk_payload(
+            self._header, self._codec, meta,
+            blob[payload_pos:compressed_end], blob[compressed_end:],
+            chunk_index=entry.index, byte_offset=record_offset,
+        )
 
     def read_chunk(self, index: int) -> np.ndarray:
         """Decode exactly one chunk (memoised per ``cache_chunks``)."""
@@ -336,224 +456,29 @@ class _RangeReaderBase:
         return chunk[offset]
 
     def read_all(self) -> np.ndarray:
-        """Decode the whole container (equivalent to the pipeline path)."""
+        """Decode the whole container (equivalent to the pipeline path).
+
+        The result takes the header's shape when it holds exactly the
+        declared elements; a ``salvage-skip`` read that lost chunks
+        stays flat.
+        """
         flat = self.read_range(0, self.n_elements)
         shape = self._header.shape
-        n_shape = 1
-        for dim in shape:
-            n_shape *= dim
-        if shape and n_shape == self.n_elements:
+        if shape and math.prod(shape) == self.n_elements == flat.size:
             return flat.reshape(shape)
         return flat
 
 
-class ContainerReader(_RangeReaderBase):
-    """Index an in-memory ISOBAR container once, then decode on demand.
-
-    ``errors`` selects the shared damage policy: ``"raise"`` (default)
-    propagates the located exception of the first damaged chunk read;
-    ``"salvage-skip"`` yields an empty chunk in its place (range reads
-    simply drop the lost elements); ``"salvage-zero"`` substitutes zero
-    elements of the declared chunk length, keeping element positions
-    stable.
-
-    ``cache_chunks`` bounds the decoded-chunk memoisation: ``None``
-    (default) keeps every decoded chunk, an integer keeps an LRU of at
-    most that many, ``0`` disables caching.
-    """
-
-    def __init__(
-        self,
-        data: bytes,
-        *,
-        errors: str = "raise",
-        cache_chunks: int | None = None,
-    ):
-        self._data = data
-        header, offset = ContainerHeader.decode(data)
-        self._init_base(
-            header, _scan_index(data, header, offset), errors, cache_chunks
-        )
-
-    def _load_chunk(self, entry: ChunkIndexEntry) -> np.ndarray:
-        meta = entry.metadata
-        assert meta is not None  # scanning readers index eagerly
-        start = entry.payload_offset
-        compressed = self._data[start:start + meta.compressed_size]
-        incompressible = self._data[
-            start + meta.compressed_size:
-            start + meta.compressed_size + meta.incompressible_size
-        ]
-        # Delegate to the shared chunk decoder so every mode the
-        # pipeline can write (including resilience fallbacks) reads
-        # back identically here.
-        return decode_chunk_payload(
-            self._header, self._codec, meta, compressed, incompressible,
-            chunk_index=entry.index, byte_offset=start,
-        )
+#: The benchmark's span ledger wraps the read methods through this name.
+_RangeReaderBase = ContainerFile
 
 
-class ContainerFile(_RangeReaderBase):
-    """File-backed random access with O(1) open via the index footer.
+class ContainerReader(ContainerFile):
+    """The in-memory spelling of :class:`ContainerFile`:
+    ``ContainerReader(data)`` is ``ContainerFile(data)``."""
 
-    Opening reads only the header prefix and the trailing footer —
-    cost proportional to the footer, independent of payload size — and
-    each ``read_chunk`` then seeks directly to its record.  When the
-    footer cannot be used (missing on pre-footer containers, truncated,
-    CRC-failed, or inconsistent with the header) the reader falls back
-    transparently to loading the stream and walking the chunk chain,
-    and counts the event under
-    ``isobar_container_footer_fallback_total{reason=}``.
-
-    ``source`` is a filesystem path or a seekable binary file object
-    (a path-opened handle is owned and closed by :meth:`close` / the
-    context manager; a caller-provided handle stays the caller's).
-    ``errors`` and ``cache_chunks`` behave as on
-    :class:`ContainerReader`.  Instances are not thread-safe: they
-    share one seek cursor.
-    """
-
-    def __init__(
-        self,
-        source: str | os.PathLike | BinaryIO,
-        *,
-        errors: str = "raise",
-        cache_chunks: int | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        registry = NULL_REGISTRY if metrics is None else metrics
-        self._instruments = PipelineInstruments(registry)
-        if isinstance(source, (str, os.PathLike)):
-            self._file: BinaryIO = open(source, "rb")
-            self._owned = True
-        else:
-            self._file = source
-            self._owned = False
-        self._closed = False
-        self._data: bytes | None = None  # populated only on fallback
-        self._fallback_reason: str | None = None
-        try:
-            self._open_index(errors, cache_chunks)
-        except BaseException:
-            if self._owned:
-                self._file.close()
-            raise
-
-    def _open_index(self, errors: str, cache_chunks: int | None) -> None:
-        prefix = self._pread(0, _HEADER_PROBE)
-        header, header_end = ContainerHeader.decode(prefix)
-        self._file.seek(0, os.SEEK_END)
-        file_size = self._file.tell()
-
-        reason: str | None = None
-        index: list[ChunkIndexEntry] | None = None
-        probe_len = min(file_size, _TAIL_PROBE)
-        tail = self._pread(file_size - probe_len, probe_len)
-        location = locate_footer(tail)
-        if location.status == "truncated" and probe_len < file_size:
-            # The trailer declares a footer longer than the probe — not
-            # necessarily damage.  Re-read exactly footer_len bytes and
-            # classify again; a genuinely impossible length stays
-            # "truncated".
-            (footer_len,) = struct.unpack_from("<I", tail, len(tail) - 8)
-            if footer_len <= file_size:
-                tail = self._pread(file_size - footer_len, footer_len)
-                location = locate_footer(tail)
-        if location.ok:
-            assert location.footer is not None
-            footer_start = file_size - (len(tail) - location.start)
-            index = _footer_index(
-                location.footer, header, header_end, footer_start
-            )
-            reason = None if index is not None else "inconsistent"
-        else:
-            reason = location.status
-
-        if index is None:
-            # Fallback: the historical structural scan over the whole
-            # stream.  Strictly worse than the footer path (O(n_chunks)
-            # and a full read) but keeps every pre-footer and damaged
-            # container readable.
-            assert reason is not None
-            self._fallback_reason = reason
-            self._instruments.footer_fallback.inc(1, reason=reason)
-            self._data = self._pread(0, file_size)
-            index = _scan_index(self._data, header, header_end)
-        self._init_base(header, index, errors, cache_chunks)
-
-    def _pread(self, offset: int, n_bytes: int) -> bytes:
-        self._file.seek(offset)
-        return self._file.read(n_bytes)
-
-    # -- lifecycle --------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the underlying file handle (owned handles only)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._owned:
-            self._file.close()
-
-    def __enter__(self) -> "ContainerFile":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def opened_via(self) -> str:
-        """``"footer"`` (O(1) open) or ``"scan"`` (fallback walk)."""
-        return "scan" if self._fallback_reason is not None else "footer"
-
-    @property
-    def fallback_reason(self) -> str | None:
-        """Why the footer was unusable (``None`` on the footer path)."""
-        return self._fallback_reason
-
-    # -- decoding ---------------------------------------------------------
-
-    def _load_chunk(self, entry: ChunkIndexEntry) -> np.ndarray:
-        if self._data is not None:
-            meta = entry.metadata
-            assert meta is not None
-            start = entry.payload_offset
-            compressed = self._data[start:start + meta.compressed_size]
-            incompressible = self._data[
-                start + meta.compressed_size:entry.payload_end
-            ]
-            return decode_chunk_payload(
-                self._header, self._codec, meta, compressed, incompressible,
-                chunk_index=entry.index, byte_offset=start,
-            )
-        # Footer path: one seek + one read covers record and payloads.
-        record_nbytes = chunk_record_nbytes(self._header.element_width)
-        record_offset = entry.payload_offset - record_nbytes
-        blob = self._pread(
-            record_offset,
-            record_nbytes + entry.compressed_size + entry.incompressible_size,
-        )
-        meta, payload_pos = ChunkMetadata.decode(
-            blob, 0, self._header.element_width
-        )
-        if (
-            meta.compressed_size != entry.compressed_size
-            or meta.incompressible_size != entry.incompressible_size
-            or meta.n_elements != entry.n_elements
-        ):
-            raise ContainerFormatError(
-                f"chunk {entry.index} at byte offset {record_offset}: "
-                "chunk record disagrees with the index footer "
-                "(container modified after indexing?)"
-            )
-        compressed = blob[payload_pos:payload_pos + entry.compressed_size]
-        incompressible = blob[
-            payload_pos + entry.compressed_size:
-            payload_pos + entry.compressed_size + entry.incompressible_size
-        ]
-        return decode_chunk_payload(
-            self._header, self._codec, meta, compressed, incompressible,
-            chunk_index=entry.index, byte_offset=record_offset,
-        )
+    # Owned, not inherited: the benchmark's span ledger wraps
+    # ``_load_chunk`` on both classes with getattr/setattr, and only a
+    # class's own attribute is put back exactly by its uninstall; an
+    # alias (ContainerReader = ContainerFile) would be wrapped twice.
+    _load_chunk = ContainerFile._load_chunk

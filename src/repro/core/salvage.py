@@ -20,9 +20,11 @@ This module is the lenient counterpart:
   the absolute byte range and the root cause, so operators know exactly
   what was lost and why.
 
-The same scanner drives :func:`repro.core.validate.validate_container`
-(which reports *all* findings instead of stopping at the first) and the
-crash recovery path of :func:`repro.core.stream.stream_decompress`.
+The same scanner drives :func:`repro.core.fsck.fsck` (which reports
+*all* findings instead of stopping at the first), and
+:func:`decode_scan_events` — the lenient per-chunk decode loop — is
+shared with the salvage and crash recovery paths of
+:func:`repro.core.stream.stream_decompress`.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "SalvageReport",
     "SalvageResult",
     "scan_chunks",
+    "decode_scan_events",
     "salvage_decompress",
 ]
 
@@ -308,7 +311,7 @@ class SalvageReport:
         return not self.damaged
 
     def summary_lines(self) -> list[str]:
-        """Human-readable report body (mirrors the validator's style)."""
+        """Human-readable report body (mirrors the fsck report's style)."""
         lines = []
         if self.header is not None:
             lines.append(
@@ -376,6 +379,77 @@ def _estimate_gaps(
     return estimates
 
 
+def decode_scan_events(
+    data: bytes,
+    header: ContainerHeader,
+    codec: Codec,
+    events: list[ScanEvent],
+    policy: str,
+) -> Iterator[tuple[ChunkOutcome, np.ndarray | None]]:
+    """Decode scanned regions leniently: one ``(outcome, chunk)`` per event.
+
+    The per-event loop shared by :func:`salvage_decompress` and the
+    salvage paths of :func:`repro.core.stream.stream_decompress`.
+    ``chunk`` is ``None`` for a lost gap or a corrupt chunk, whose
+    outcome carries the cause; under ``policy="raise"`` the first
+    damaged region raises instead, located by chunk and byte offset.
+    """
+    gap_estimates = _estimate_gaps(events, header)
+    ordinal = 0
+    for position, event in enumerate(events):
+        if event.kind == "gap":
+            if policy == "raise":
+                raise ContainerFormatError(
+                    f"chunk {ordinal} at byte offset {event.start}: "
+                    f"unreadable chunk record: {event.cause}"
+                )
+            n_elements, n_chunks = gap_estimates[position]
+            yield ChunkOutcome(
+                index=ordinal,
+                status="lost",
+                start=event.start,
+                end=event.end,
+                n_elements=n_elements,
+                n_chunks=n_chunks,
+                estimated=True,
+                cause=event.cause,
+            ), None
+            ordinal += n_chunks
+            continue
+        meta = event.meta
+        compressed_end = event.payload_offset + meta.compressed_size
+        try:
+            chunk = decode_chunk_payload(
+                header,
+                codec,
+                meta,
+                data[event.payload_offset:compressed_end],
+                data[compressed_end:event.end],
+                chunk_index=ordinal,
+                byte_offset=event.start,
+            )
+        except IsobarError as exc:
+            if policy == "raise":
+                raise
+            yield ChunkOutcome(
+                index=ordinal,
+                status="corrupt",
+                start=event.start,
+                end=event.end,
+                n_elements=int(meta.n_elements),
+                cause=str(exc),
+            ), None
+        else:
+            yield ChunkOutcome(
+                index=ordinal,
+                status="recovered",
+                start=event.start,
+                end=event.end,
+                n_elements=int(meta.n_elements),
+            ), chunk
+        ordinal += 1
+
+
 def salvage_decompress(
     data: bytes,
     policy: str = "skip",
@@ -429,74 +503,14 @@ def salvage_decompress(
     tracer.add(
         "scan", _time.perf_counter() - scan_start, bytes_in=len(data)
     )
-    gap_estimates = _estimate_gaps(events, header)
-
     report = SalvageReport(
         policy=policy,
         header=header,
         total_bytes=len(data),
         unclosed=to_eof,
     )
-    pieces: list[tuple[ChunkOutcome, np.ndarray | None]] = []
-    ordinal = 0
     decode_start = _time.perf_counter()
-    for position, event in enumerate(events):
-        if event.kind == "gap":
-            if policy == "raise":
-                raise ContainerFormatError(
-                    f"chunk {ordinal} at byte offset {event.start}: "
-                    f"unreadable chunk record: {event.cause}"
-                )
-            n_elements, n_chunks = gap_estimates[position]
-            outcome = ChunkOutcome(
-                index=ordinal,
-                status="lost",
-                start=event.start,
-                end=event.end,
-                n_elements=n_elements,
-                n_chunks=n_chunks,
-                estimated=True,
-                cause=event.cause,
-            )
-            pieces.append((outcome, None))
-            ordinal += n_chunks
-            continue
-        meta = event.meta
-        compressed = data[event.payload_offset:event.payload_offset
-                          + meta.compressed_size]
-        incompressible = data[event.payload_offset
-                              + meta.compressed_size:event.end]
-        try:
-            chunk = decode_chunk_payload(
-                header,
-                codec,
-                meta,
-                compressed,
-                incompressible,
-                chunk_index=ordinal,
-                byte_offset=event.start,
-            )
-            outcome = ChunkOutcome(
-                index=ordinal,
-                status="recovered",
-                start=event.start,
-                end=event.end,
-                n_elements=int(meta.n_elements),
-            )
-        except IsobarError as exc:
-            if policy == "raise":
-                raise
-            chunk = None
-            outcome = ChunkOutcome(
-                index=ordinal,
-                status="corrupt",
-                start=event.start,
-                end=event.end,
-                n_elements=int(meta.n_elements),
-                cause=str(exc),
-            )
-        pieces.append((outcome, chunk))
-        ordinal += 1
+    pieces = list(decode_scan_events(data, header, codec, events, policy))
     tracer.add("decode", _time.perf_counter() - decode_start)
     report.outcomes = [outcome for outcome, _ in pieces]
 

@@ -36,7 +36,6 @@ from repro.codecs.base import Codec, get_codec
 from repro.core.exceptions import (
     ContainerFormatError,
     InvalidInputError,
-    IsobarError,
     TruncatedContainerError,
 )
 from repro.core.metadata import ChunkMetadata, ContainerHeader, locate_footer
@@ -372,48 +371,29 @@ def _stream_salvage(
     *,
     to_eof: bool,
 ) -> Iterator[np.ndarray]:
-    """Lenient / crash-recovery read path: scan chunks via the salvage
-    scanner.  Loads the file into memory (recovery is not a hot path)."""
-    from repro.core.salvage import scan_chunks
+    """Lenient / crash-recovery read path: salvage's scan and per-chunk
+    decode loop.  Loads the file into memory (recovery is not a hot
+    path)."""
+    from repro.core.salvage import decode_scan_events, scan_chunks
 
     with open(path, "rb") as source:
         data = source.read()
     header, offset = ContainerHeader.decode(data)
     codec = get_codec(header.codec_name)
-    ordinal = 0
-    for event in scan_chunks(data, header, offset, codec, to_eof=to_eof):
-        if event.kind == "gap":
-            # A gap that runs to EOF on an unclosed stream is the
-            # crashed writer's unfinished final chunk — tolerating it
-            # is the whole point; anything else honours the policy.
-            if to_eof and event.end == len(data):
-                return
-            if errors == "raise":
-                raise ContainerFormatError(
-                    f"chunk {ordinal} at byte offset {event.start}: "
-                    f"unreadable chunk record: {event.cause}"
-                )
-            ordinal += 1
-            continue
-        meta = event.meta
-        compressed = data[event.payload_offset:event.payload_offset
-                          + meta.compressed_size]
-        incompressible = data[event.payload_offset
-                              + meta.compressed_size:event.end]
-        try:
-            chunk = decode_chunk_payload(
-                header, codec, meta, compressed, incompressible,
-                chunk_index=ordinal, byte_offset=event.start,
-            )
-        except IsobarError:
-            if errors == "raise":
-                raise
-            if errors == "zero_fill":
-                yield np.zeros(int(meta.n_elements), dtype=header.dtype)
-            ordinal += 1
-            continue
-        yield chunk
-        ordinal += 1
+    events = list(scan_chunks(data, header, offset, codec, to_eof=to_eof))
+    if to_eof and events and events[-1].kind == "gap" \
+            and events[-1].end == len(data):
+        # A gap that runs to EOF on an unclosed stream is the crashed
+        # writer's unfinished final chunk — tolerating it is the whole
+        # point; anything else honours the policy.
+        events.pop()
+    for outcome, chunk in decode_scan_events(
+        data, header, codec, events, errors
+    ):
+        if chunk is not None:
+            yield chunk
+        elif outcome.status == "corrupt" and errors == "zero_fill":
+            yield np.zeros(outcome.n_elements, dtype=header.dtype)
 
 
 def stream_decompress(

@@ -64,7 +64,7 @@ from repro.core.preferences import (
     Preference,
     normalize_errors,
 )
-from repro.core.random_access import ContainerReader
+from repro.core.random_access import ContainerFile
 from repro.core.resilience import (
     BreakerState,
     ResiliencePolicy,
@@ -1112,8 +1112,8 @@ class IsobarService:
             raise InvalidInputError("empty request body: no container")
         deadline_at = time.monotonic() + deadline_seconds
 
-        def _index() -> tuple[ContainerReader, bytes]:
-            reader_obj = ContainerReader(request.body, errors=errors)
+        def _index() -> tuple[ContainerFile, bytes]:
+            reader_obj = ContainerFile(request.body, errors=errors)
             first = (
                 _little_endian_body(reader_obj.read_chunk(0))
                 if reader_obj.n_chunks else b""

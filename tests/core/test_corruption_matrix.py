@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import IsobarError
+from repro.core.fsck import fsck
 from repro.core.metadata import ChunkMetadata, ContainerHeader
 from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig
 from repro.core.salvage import SALVAGE_POLICIES, salvage_decompress
-from repro.core.validate import validate_container
 from repro.datasets.synthetic import build_structured
 from repro.testing.faults import FAULT_TYPES, inject
 
@@ -141,21 +141,18 @@ def test_truncation_at_every_boundary(container, mode):
 def test_validate_never_escapes(container, fault, seed):
     payload, _ = container
     injected = inject(payload, fault, seed)
-    try:
-        report = validate_container(injected.data)
-    except IsobarError:
-        return
-    # validate_container prefers reporting over raising: a damaged
-    # container must never be declared valid.  Footer-only damage is
-    # the one sanctioned exception — every element remains decodable,
-    # so the report stays valid but must flag the footer as unhealthy
-    # (fsck can rebuild it from the intact chain).
+    # fsck reports rather than raises: a damaged container must never
+    # be declared intact.  Footer-only damage is the one sanctioned
+    # exception — every element remains decodable, so the report stays
+    # intact but must flag the footer as unhealthy (fsck --repair can
+    # rebuild it from the intact chain).
+    report = fsck(injected.data)
     if fault in ("torn_tail", "truncate_footer", "footer_crc",
-                 "stale_footer") and report.valid:
+                 "stale_footer") and report.intact:
         assert report.footer_status != "ok", injected.description
         return
     if fault != "zero_range" or injected.data != payload:
-        assert not report.valid or injected.data == payload
+        assert not report.intact or injected.data == payload
 
 
 class TestDegradedContainers:
@@ -200,7 +197,7 @@ class TestDegradedContainers:
         payload = payloads[encoding]
         reader = ContainerReader(payload)
         assert np.array_equal(reader.read_all().reshape(-1), values)
-        assert validate_container(payload).valid
+        assert fsck(payload).clean
 
     @pytest.mark.parametrize("mode", DECODE_MODES)
     @pytest.mark.parametrize("fault", FAULT_TYPES)

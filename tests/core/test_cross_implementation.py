@@ -4,7 +4,9 @@ The container format has two encode paths: the chunk engine
 (``IsobarCompressor`` at any worker count, which the streaming writer
 also runs on) and concat, which re-frames existing chunks.  It has
 four readers: the engine's decode (any worker count), the streaming
-reader, ContainerReader and the validator.  These property tests drive
+reader, the random-access ``ContainerFile`` (here under its in-memory
+name ``ContainerReader``) and the ``fsck`` checker, which decodes every
+chunk.  These property tests drive
 random inputs through the writer/reader pairings, one and several
 workers included, and assert bit-exact agreement.
 """
@@ -16,12 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.concat import concat_containers
+from repro.core.fsck import fsck
 from repro.core.parallel import ParallelIsobarCompressor
 from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig
 from repro.core.random_access import ContainerReader
 from repro.core.stream import stream_decompress
-from repro.core.validate import validate_container
 
 _CFG = IsobarConfig(codec="zlib", linearization="row",
                     chunk_elements=64, sample_elements=64)
@@ -52,7 +54,7 @@ class TestEveryReaderAgrees:
         assert np.array_equal(_bits(from_pipeline), _bits(values))
         assert np.array_equal(_bits(from_parallel), _bits(values))
         assert np.array_equal(_bits(from_reader), _bits(values))
-        assert validate_container(payload).valid
+        assert fsck(payload).clean
 
     @settings(max_examples=20, deadline=None)
     @given(values=_arrays)
@@ -82,7 +84,7 @@ class TestConcatProperty:
         restored = IsobarCompressor().decompress(merged)
         expected = np.concatenate([p.reshape(-1) for p in pieces])
         assert np.array_equal(_bits(restored), _bits(expected))
-        assert validate_container(merged).valid
+        assert fsck(merged).clean
 
     @settings(max_examples=15, deadline=None)
     @given(pieces=st.lists(_arrays, min_size=2, max_size=3))

@@ -196,7 +196,7 @@ class TestBackwardCompat:
     def test_footer_less_round_trip_everywhere(self, on_disk, tmp_path):
         from repro.core.salvage import salvage_decompress
         from repro.core.stream import stream_decompress
-        from repro.core.validate import validate_container
+        from repro.core.fsck import fsck
 
         _, payload, values = on_disk
         legacy = _strip_footer(payload)
@@ -214,8 +214,8 @@ class TestBackwardCompat:
         assert np.array_equal(
             np.concatenate(list(stream_decompress(path))), values
         )
-        report = validate_container(legacy)
-        assert report.valid
+        report = fsck(legacy)
+        assert report.intact and report.clean
         assert report.footer_status == "absent"
 
     def test_strict_decoder_ignores_the_footer_entirely(self, stored):

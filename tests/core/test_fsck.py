@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.exceptions import InvalidInputError
+from repro.core.exceptions import ConfigurationError, InvalidInputError
 from repro.core.fsck import fsck
 from repro.core.metadata import (
     ContainerHeader,
@@ -209,6 +209,29 @@ class TestUnrepairableDamage:
         assert any("DAMAGED" in line for line in report.summary_lines())
         # fsck must not touch a file it cannot fix.
         assert bad.read_bytes() == smashed
+
+    def test_payload_crc_damage_is_found(self, on_disk, tmp_path, capsys):
+        _, payload, _ = on_disk
+        damaged = bytearray(payload)
+        damaged[locate_footer(payload).start - 2] ^= 0xFF  # last payload
+        bad = tmp_path / "bad.isobar"
+        bad.write_bytes(bytes(damaged))
+
+        assert main(["fsck", str(bad), "--repair"]) == 1
+        out = capsys.readouterr().out
+        assert "[payload]" in out and "CRC" in out and "DAMAGED" in out
+        # The chain and footer are intact: the footer stays "ok" and
+        # nothing is rewritten.
+        report = fsck(bytes(damaged))
+        assert report.footer_status == "ok"
+        assert [issue.kind for issue in report.issues] == ["payload"]
+        assert bad.read_bytes() == bytes(damaged)
+
+    def test_bytes_source_cannot_be_repaired(self, payload_and_values):
+        payload, _ = payload_and_values
+        assert fsck(payload).clean
+        with pytest.raises(ConfigurationError):
+            fsck(payload, repair=True)
 
 
 class TestCli:

@@ -94,11 +94,11 @@ class TestFormatStability:
         ]
 
     def test_readers_agree_on_golden_container(self):
-        """Every decode path (pipeline, parallel, reader, validator)
+        """Every decode path (pipeline, parallel, reader, checker)
         accepts the same container."""
         from repro.core.parallel import ParallelIsobarCompressor
         from repro.core.random_access import ContainerReader
-        from repro.core.validate import validate_container
+        from repro.core.fsck import fsck
 
         values = _golden_input()
         payload = IsobarCompressor(_GOLDEN_CONFIG).compress(values)
@@ -116,4 +116,4 @@ class TestFormatStability:
         assert np.array_equal(
             reader.read_all().view(np.uint64), values.view(np.uint64)
         )
-        assert validate_container(payload).valid
+        assert fsck(payload).clean

@@ -401,11 +401,11 @@ class TestOtherReaders:
         assert reader.element(10) == values[10]
 
     def test_validate(self, degraded):
-        from repro.core.validate import validate_container
+        from repro.core.fsck import fsck
 
         payload, _ = degraded
-        report = validate_container(payload)
-        assert report.valid
+        report = fsck(payload)
+        assert report.intact and report.clean
 
     def test_salvage(self, degraded):
         from repro.core.salvage import salvage_decompress

@@ -1,15 +1,21 @@
-"""Unit and fuzz tests for the container validator."""
+"""Unit and fuzz tests for the ``isobar verify`` verdict.
+
+``verify`` prints the :func:`~repro.core.fsck.fsck` report; its verdict
+is :attr:`~repro.core.fsck.FsckReport.intact` — every declared element
+decodes with a good CRC.  These checks run fsck on container bytes.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.exceptions import IsobarError
+from repro.core.fsck import fsck
 from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig
-from repro.core.validate import validate_container
 from repro.datasets.synthetic import build_structured
-from repro.testing.faults import chunk_chain_end
+from repro.testing.faults import chunk_chain_end, chunk_extents
 
 _CFG = IsobarConfig(chunk_elements=30_000, sample_elements=2048)
 
@@ -21,82 +27,99 @@ def container():
     return IsobarCompressor(_CFG).compress(values)
 
 
+def _data_issues(report):
+    return [issue for issue in report.issues if issue.kind != "footer"]
+
+
+def _strict_decode_succeeds(data: bytes) -> bool:
+    try:
+        IsobarCompressor().decompress(data)
+    except IsobarError:
+        return False
+    return True
+
+
 class TestValidContainers:
     def test_clean_container_validates(self, container):
-        report = validate_container(container)
-        assert report.valid
-        assert not report.errors
-        assert report.n_chunks_checked == 3
-        assert report.n_elements_recovered == 90_000
+        report = fsck(container)
+        assert report.intact and report.clean
+        assert not report.issues
+        assert report.n_chunks == 3
+        assert report.n_elements == 90_000
         assert report.header is not None
         assert report.header.codec_name in ("zlib", "bzip2")
 
     def test_passthrough_container_validates(self):
         values = np.full(30_000, 1.5)
         payload = IsobarCompressor(_CFG).compress(values)
-        report = validate_container(payload)
-        assert report.valid
+        report = fsck(payload)
+        assert report.intact
 
     def test_empty_container_validates(self):
         payload = IsobarCompressor(_CFG).compress(np.array([], dtype=np.float64))
-        report = validate_container(payload)
-        assert report.valid
-        assert report.n_chunks_checked == 0
+        report = fsck(payload)
+        assert report.intact
+        assert report.n_chunks == 0
 
     def test_summary_lines(self, container):
-        lines = validate_container(container).summary_lines()
-        assert any("VALID" in line for line in lines)
-        assert any("header" in line for line in lines)
+        lines = fsck(container).summary_lines()
+        assert lines[-1] == "RESULT: CLEAN"
+        assert any(line.startswith("header: ") for line in lines)
 
 
 class TestCorruptionDetection:
     def test_bad_magic(self, container):
-        report = validate_container(b"XXXX" + container[4:])
-        assert not report.valid
-        assert report.findings[0].chunk_index == -1
+        report = fsck(b"XXXX" + container[4:])
+        assert not report.intact
+        assert report.issues[0].kind == "header"
+        assert report.header is None
 
     def test_crc_corruption_localised(self, container):
         corrupted = bytearray(container)
         corrupted[chunk_chain_end(container) - 2] ^= 0xFF  # last chunk's raw noise
-        report = validate_container(bytes(corrupted))
-        assert not report.valid
-        bad_chunks = {f.chunk_index for f in report.errors}
-        assert bad_chunks == {2}  # only the final chunk is damaged
+        report = fsck(bytes(corrupted))
+        assert not report.intact
+        # Only the final chunk is damaged, and the issue spans exactly it.
+        assert [(i.kind, i.start, i.end) for i in report.issues] == [
+            ("payload", *chunk_extents(container)[2])
+        ]
+        assert "chunk 2 " in report.issues[0].detail
+        assert "CRC" in report.issues[0].detail
 
     def test_multiple_corruptions_all_reported(self, container):
         corrupted = bytearray(container)
         corrupted[chunk_chain_end(container) - 2] ^= 0xFF
         corrupted[len(corrupted) // 3] ^= 0xFF
-        report = validate_container(bytes(corrupted))
-        assert not report.valid
-        assert len(report.errors) >= 2
+        report = fsck(bytes(corrupted))
+        assert not report.intact
+        assert len(_data_issues(report)) >= 2
 
     def test_truncation(self, container):
-        report = validate_container(container[: len(container) - 200])
-        assert not report.valid
+        report = fsck(container[: len(container) - 200])
+        assert not report.intact
 
     def test_trailing_garbage_is_warning(self, container):
-        report = validate_container(container + b"\x00" * 64)
-        assert report.valid  # data intact
-        assert any(f.severity == "warning" for f in report.findings)
+        report = fsck(container + b"\x00" * 64)
+        assert report.intact  # data intact
+        assert report.issues and not _data_issues(report)
 
     def test_empty_input(self):
-        report = validate_container(b"")
-        assert not report.valid
+        report = fsck(b"")
+        assert not report.intact
 
     def test_validator_never_raises_on_bitflips(self, container):
         """Single bit flips anywhere must produce a report, not a crash."""
         for position in range(0, len(container), max(len(container) // 60, 1)):
             corrupted = bytearray(container)
             corrupted[position] ^= 0x10
-            report = validate_container(bytes(corrupted))
-            assert report is not None  # no exception escaped
+            report = fsck(bytes(corrupted))
+            assert report.intact == _strict_decode_succeeds(bytes(corrupted))
 
     @settings(max_examples=40, deadline=None)
     @given(garbage=st.binary(min_size=0, max_size=600))
     def test_validator_never_raises_on_garbage(self, garbage):
-        report = validate_container(garbage)
-        assert not report.valid or len(garbage) == 0 or True
+        report = fsck(garbage)
+        assert report.intact == _strict_decode_succeeds(garbage)
 
 
 class TestFuzzDecoders:
