@@ -113,7 +113,7 @@ def _measure_parallel(values, config, n_workers):
             decompress_wall, decompress_report)
 
 
-def _measure_stream(values, config, chunk_elements):
+def _measure_stream(values, config, chunk_elements, n_workers):
     from repro.observability import MetricsRegistry
 
     chunks = [
@@ -125,12 +125,13 @@ def _measure_stream(values, config, chunk_elements):
         registry = MetricsRegistry()
         start = time.perf_counter()
         written = stream_compress(
-            iter(chunks), path, values.dtype, config, metrics=registry
+            iter(chunks), path, values.dtype, config, metrics=registry,
+            n_workers=n_workers,
         )
         compress_wall = time.perf_counter() - start
 
         start = time.perf_counter()
-        pieces = list(stream_decompress(path))
+        pieces = list(stream_decompress(path, n_workers=n_workers))
         decompress_wall = time.perf_counter() - start
         restored = np.concatenate(pieces)
     assert np.array_equal(restored, values), "round-trip mismatch"
@@ -197,10 +198,10 @@ def run_sweep(
                         "codec": codec,
                         "chunk_elements": chunk_elements,
                         "mode": mode,
-                        # Workers actually used by THIS row, not the
-                        # sweep-level flag: serial and stream rows run
-                        # single-worker whatever --workers says.
-                        "n_workers": n_workers if mode == "parallel" else 1,
+                        # Workers actually used by THIS row: serial rows
+                        # run single-worker whatever --workers says;
+                        # parallel and stream rows run --workers.
+                        "n_workers": 1 if mode == "serial" else n_workers,
                         "n_elements": int(values.size),
                         "raw_bytes": int(raw_bytes),
                     }
@@ -231,7 +232,7 @@ def run_sweep(
                         )
                     elif mode == "stream":
                         written, c_wall, d_wall = _measure_stream(
-                            values, config, chunk_elements
+                            values, config, chunk_elements, n_workers
                         )
                         row.update(
                             compressed_bytes=int(written),
@@ -285,7 +286,8 @@ def main(argv: list[str] | None = None) -> int:
                         default=list(DATASETS),
                         choices=list(DATASETS))
     parser.add_argument("--workers", type=int, default=2,
-                        help="thread count for the parallel mode")
+                        help="engine workers for the parallel and "
+                             "stream modes")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the full sweep as JSON to PATH")

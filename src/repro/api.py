@@ -91,6 +91,17 @@ def _engine_workers(codec_names: tuple[str, ...]) -> int:
     return usable_cpus() if threaded else 1
 
 
+def _file_workers(path: str | os.PathLike) -> int:
+    """:func:`_engine_workers` for the codec of the container file at
+    ``path`` (1 if unreadable: the reader then reports why)."""
+    try:
+        with open(path, "rb") as source:
+            header, _ = ContainerHeader.decode(source.read(4096))
+    except (OSError, ValueError):  # ContainerFormatError is a ValueError
+        return 1
+    return _engine_workers((header.codec_name,))
+
+
 def compress(
     values: np.ndarray,
     *,
@@ -218,24 +229,28 @@ def open_stream(
     the write-side selection strategy exactly as in :func:`compress`
     (``"eupa"`` default; ignored for ``mode="r"`` since reading never
     selects).
+
+    Both directions pick their engine workers as :func:`compress` and
+    :func:`decompress` do (for reading, by the file's codec); with
+    several, the file is durable only at the writer's ``close()``.
     """
     if mode == "w":
         if dtype is None:
             raise ConfigurationError(
                 "open_stream(..., mode='w') requires dtype"
             )
-        if selector is not None:
-            config = (config or IsobarConfig()).replace(selector=selector)
+        cfg = _resolve_config(config, None, None, None, selector)
+        codecs = (cfg.codec,) if cfg.codec is not None else cfg.candidate_codecs
         return StreamingWriter.open(
-            path, dtype, config, atomic=atomic, metrics=metrics
+            path, dtype, cfg, atomic=atomic, metrics=metrics,
+            n_workers=_engine_workers(codecs),
         )
     if mode == "r":
-        normalize_errors(errors)  # fail fast, not at first iteration
+        # normalize_errors fails fast, not at first iteration.
+        strict = normalize_errors(errors) == "raise"
         return stream_decompress(
-            path,
-            errors=errors,
-            tolerate_unclosed=tolerate_unclosed,
-            metrics=metrics,
+            path, errors=errors, tolerate_unclosed=tolerate_unclosed,
+            metrics=metrics, n_workers=_file_workers(path) if strict else 1,
         )
     raise ConfigurationError(
         f"unknown stream mode {mode!r}; expected 'r' or 'w'"

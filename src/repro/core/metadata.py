@@ -17,10 +17,11 @@ inconsistency rather than fabricating data.
 from __future__ import annotations
 
 import enum
+import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -53,6 +54,9 @@ _FOOTER_MAGIC = b"ISIX"
 _FOOTER_END_MAGIC = b"XISI"
 _MAX_NAME = 255
 _MAX_DIMS = 16
+#: Longest chunk record any byte pattern can declare: magic, fixed
+#: fields, a mask of up to 255 bytes and the two payload sizes.
+_MAX_RECORD_NBYTES = 4 + struct.calcsize("<QBIB") + 255 + 16
 
 #: Per-entry struct of the index footer:
 #: ``(payload_offset, compressed_size, incompressible_size, n_elements)``.
@@ -331,25 +335,38 @@ class ChunkRecord:
 
 
 def iter_chunk_records(
-    data: bytes, header: ContainerHeader, offset: int
+    source: bytes | BinaryIO, header: ContainerHeader, offset: int
 ) -> Iterator[ChunkRecord]:
     """Walk the ``header.n_chunks`` chunk records starting at ``offset``.
 
-    The strict chain walk every in-memory reader shares: each record is
-    parsed lazily, and a payload that runs past the end of ``data``
+    The strict chain walk every reader shares, over container bytes or
+    a seekable binary file (read one record at a time, so the caller
+    may read payloads from it between records): each record is parsed
+    lazily, and a payload that runs past the end of the container
     raises :class:`TruncatedContainerError` naming the chunk and its
     record offset.  (The salvage scanner resynchronizes over damage
     instead; see :mod:`repro.core.salvage`.)
     """
     width = header.element_width
+    in_memory = (bytes, bytearray, memoryview)
+    size = (
+        len(source) if isinstance(source, in_memory)
+        else source.seek(0, os.SEEK_END)
+    )
     for index in range(header.n_chunks):
-        meta, payload_offset = ChunkMetadata.decode(data, offset, width)
+        if isinstance(source, in_memory):
+            meta, payload_offset = ChunkMetadata.decode(source, offset, width)
+        else:
+            source.seek(offset)
+            window = source.read(_MAX_RECORD_NBYTES)
+            meta, consumed = ChunkMetadata.decode(window, 0, width)
+            payload_offset = offset + consumed
         record = ChunkRecord(index, offset, meta, payload_offset)
-        if record.end > len(data):
+        if record.end > size:
             raise TruncatedContainerError(
                 f"chunk {index} at byte offset {offset}: container "
                 f"truncated inside chunk payload (payload ends at byte "
-                f"{record.end}, stream holds {len(data)})"
+                f"{record.end}, stream holds {size})"
             )
         yield record
         offset = record.end

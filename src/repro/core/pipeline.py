@@ -44,7 +44,7 @@ import time
 import warnings
 import zlib as _zlib
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -685,6 +685,13 @@ class _Lead(NamedTuple):
     select_seconds: float
 
 
+#: One chunk's container record and its report, as the encoder emits it.
+EncodedBlob = tuple[bytes, ChunkReport]
+#: One chunk for the decode loop: its record, solver payload, noise
+#: payload and the slice to decode into (``None``: a new array).
+DecodeJob = tuple[ChunkRecord, bytes, bytes, np.ndarray | None]
+
+
 class IsobarCompressor:
     """End-to-end ISOBAR-compress preconditioner + solver pipeline.
 
@@ -877,7 +884,11 @@ class IsobarCompressor:
         chunks = [
             chunk for _, chunk in iter_chunks(flat, self._config.chunk_elements)
         ]
-        outcomes = self._encode_chunks(chunks, lead, tracer)
+        outcomes = list(self._encode_chunks(
+            chunks, lead, tracer,
+            None if self._inline(len(chunks))
+            else self._runner("isobar-compress"),
+        ))
 
         merge_start = time.perf_counter()
         reports = tuple(report for _, report in outcomes)
@@ -1020,67 +1031,81 @@ class IsobarCompressor:
             analysis, decision.trial, analyze_seconds, select_seconds,
         )
 
+    def _run_jobs(
+        self,
+        jobs: Iterable[Any],
+        fn: Callable[[int, Any, Codec], Any],
+        codec: Codec,
+        runner: PipelinedBlockRunner | None,
+        *,
+        retry: bool,
+    ) -> Iterator[Any]:
+        """Lazily yield ``fn(seq, job, codec)`` for every job, in order:
+        the one chunk loop of every mode.  Inline without a ``runner``;
+        on it (threads start now), workers get the codec through
+        :func:`worker_codec_for` and run at most ``max_inflight`` jobs
+        ahead.  A failed block never poisons the engine: with ``retry``
+        under a resilience policy the job reruns serially with the
+        *original* codec (which degrades the chunk instead of failing);
+        otherwise, or if that fails too, the runner is cancelled
+        (queued jobs never start) and the error raised in order."""
+        if runner is None:
+            return (fn(seq, job, codec) for seq, job in enumerate(jobs))
+        worker_codec = worker_codec_for(codec, self._n_workers)
+        policy = self._config.resilience
+        pending: dict[int, Any] = {}
+
+        def fed() -> Iterator[Any]:
+            for seq, job in enumerate(jobs):
+                pending[seq] = job
+                yield job
+
+        blocks = runner.run(fed(), lambda seq, job: fn(seq, job, worker_codec))
+
+        def settled() -> Iterator[Any]:
+            assert runner is not None
+            try:
+                for block in blocks:
+                    job = pending.pop(block.seq)
+                    if block.error is None:
+                        yield block.value
+                        continue
+                    if (
+                        not retry or policy is None or policy.strict
+                        or not isinstance(block.error, Exception)
+                    ):
+                        runner.cancel()
+                        raise block.error
+                    try:
+                        value = fn(block.seq, job, codec)
+                    except Exception:
+                        runner.cancel()
+                        raise
+                    yield value
+            finally:
+                blocks.close()
+
+        return settled()
+
     def _encode_chunks(
         self,
-        chunks: list[np.ndarray],
+        chunks: Iterable[np.ndarray],
         lead: _Lead,
         tracer: AnyTracer,
-    ) -> list[tuple[bytes, ChunkReport]]:
-        """Encode every chunk, in order: inline, or on the block runner.
+        runner: PipelinedBlockRunner | None,
+    ) -> Iterator[EncodedBlob]:
+        """Encode chunks lazily, in order (see :meth:`_run_jobs`), under
+        the lead decision; chunk 0 reuses the lead analysis and the
+        selector's winning trial."""
 
-        Runner workers call the codec through :func:`worker_codec_for`
-        — the codec itself when its C core releases the GIL, a
-        process-pool proxy for registered pure-python codecs,
-        unchanged otherwise.  A failing chunk never poisons the
-        engine: under a resilience policy the chunk is retried serially
-        with the *original* codec (the resilient encoder degrades it
-        instead of failing), so one poisoned chunk costs one serial
-        retry, never the run.  Without a policy (or when the serial
-        retry fails too) the runner is cancelled — running workers
-        finish their block, queued blocks never start — and the
-        original exception propagates.
-        """
-
-        def encode(
-            seq: int, chunk: np.ndarray, codec: Codec
-        ) -> tuple[bytes, ChunkReport]:
+        def encode(seq: int, chunk: np.ndarray, codec: Codec) -> EncodedBlob:
             return self._compress_chunk(
                 seq, chunk, lead.decision, codec, tracer,
                 analysis=lead.analysis if seq == 0 else None,
                 trial=lead.trial if seq == 0 else None,
             )
 
-        if self._inline(len(chunks)):
-            return [
-                encode(seq, chunk, lead.codec)
-                for seq, chunk in enumerate(chunks)
-            ]
-        policy = self._config.resilience
-        worker_codec = worker_codec_for(lead.codec, self._n_workers)
-        runner = self._runner("isobar-compress")
-        outcomes: list[tuple[bytes, ChunkReport]] = []
-        for block in runner.run(
-            chunks, lambda seq, chunk: encode(seq, chunk, worker_codec)
-        ):
-            if block.error is None:
-                assert block.value is not None
-                outcomes.append(block.value)
-                continue
-            if (
-                policy is None
-                or policy.strict
-                or not isinstance(block.error, Exception)
-            ):
-                runner.cancel()
-                raise block.error
-            try:
-                outcomes.append(
-                    encode(block.seq, chunks[block.seq], lead.codec)
-                )
-            except Exception:
-                runner.cancel()
-                raise
-        return outcomes
+        return self._run_jobs(chunks, encode, lead.codec, runner, retry=True)
 
     def _compress_chunk(
         self,
@@ -1171,6 +1196,41 @@ class IsobarCompressor:
 
     # -- decompression ----------------------------------------------------
 
+    def _decode_records(
+        self,
+        header: ContainerHeader,
+        jobs: Iterable[DecodeJob],
+        tracer: AnyTracer,
+    ) -> Iterator[np.ndarray]:
+        """The decode loop of :meth:`decompress` and
+        :func:`~repro.core.stream.stream_decompress`: the jobs' chunks
+        in chain order, through :meth:`_run_jobs` (a damaged chunk
+        raises its located error in order)."""
+        decoded = self._instruments.chunks_decoded
+
+        def decode(_seq: int, job: DecodeJob, codec: Codec) -> np.ndarray:
+            record, compressed, incompressible, target = job
+            start = time.perf_counter()
+            chunk = decode_chunk_payload(
+                header, codec, record.meta, compressed, incompressible,
+                chunk_index=record.index, byte_offset=record.offset,
+                out=target,
+            )
+            tracer.add(
+                "decode", time.perf_counter() - start,
+                bytes_in=len(compressed) + len(incompressible),
+            )
+            decoded.inc()
+            return chunk
+
+        runner = (
+            None if self._inline(header.n_chunks)
+            else self._runner("isobar-decompress")
+        )
+        return self._run_jobs(
+            jobs, decode, get_codec(header.codec_name), runner, retry=False
+        )
+
     def decompress(self, data: bytes, *, errors: str = "raise") -> np.ndarray:
         """Restore the exact original array from a container.
 
@@ -1204,17 +1264,21 @@ class IsobarCompressor:
         wall_start = time.perf_counter()
         tracer = self._tracer()
         header, offset = ContainerHeader.decode(data)
-        codec = get_codec(header.codec_name)
         flat = np.empty(header.n_elements, dtype=header.dtype)
 
-        def walk() -> Iterator[tuple[ChunkRecord, np.ndarray | None]]:
+        def walk() -> Iterator[DecodeJob]:
             cursor = 0
             for record in iter_chunk_records(data, header, offset):
                 end = cursor + record.meta.n_elements
                 # A chunk overflowing the declared total still decodes
                 # (into a scratch array), so a damaged chunk is reported
                 # before the element-count mismatch after the walk.
-                yield record, flat[cursor:end] if end <= flat.size else None
+                yield (
+                    record,
+                    data[record.payload_offset:record.compressed_end],
+                    data[record.compressed_end:record.end],
+                    flat[cursor:end] if end <= flat.size else None,
+                )
                 cursor = end
             if cursor != header.n_elements:
                 raise ContainerFormatError(
@@ -1222,41 +1286,8 @@ class IsobarCompressor:
                     f"declares {header.n_elements}"
                 )
 
-        def decode(
-            job: tuple[ChunkRecord, np.ndarray | None], codec: Codec
-        ) -> None:
-            record, target = job
-            start = time.perf_counter()
-            decode_chunk_payload(
-                header,
-                codec,
-                record.meta,
-                data[record.payload_offset:record.compressed_end],
-                data[record.compressed_end:record.end],
-                chunk_index=record.index,
-                byte_offset=record.offset,
-                out=target,
-            )
-            tracer.add(
-                "decode", time.perf_counter() - start,
-                bytes_in=record.end - record.payload_offset,
-            )
-
-        if self._inline(header.n_chunks):
-            for job in walk():
-                decode(job, codec)
-        else:
-            worker_codec = worker_codec_for(codec, self._n_workers)
-            runner = self._runner("isobar-decompress")
-            # Ordered consumption surfaces a damaged chunk's original
-            # exception in chain order and cancels queued decode work.
-            for block in runner.run(
-                walk(), lambda _seq, job: decode(job, worker_codec)
-            ):
-                if block.error is not None:
-                    runner.cancel()
-                    raise block.error
-        self._instruments.chunks_decoded.inc(header.n_chunks)
+        for _ in self._decode_records(header, walk(), tracer):
+            pass
 
         merge_start = time.perf_counter()
         n_shape = 1

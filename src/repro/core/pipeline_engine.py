@@ -44,11 +44,12 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    Generator,
     Generic,
     Iterable,
-    Iterator,
     Protocol,
     TypeVar,
+    cast,
 )
 
 from repro.core.exceptions import ConfigurationError
@@ -57,7 +58,6 @@ __all__ = [
     "BlockResult",
     "PipelinedBlockRunner",
     "RunnerStats",
-    "bounded_relay",
     "default_max_inflight",
     "usable_cpus",
 ]
@@ -159,6 +159,11 @@ class _OrderedSlots:
             self._next += 1
             return item
 
+    def ready(self) -> bool:
+        """Whether :meth:`get_next` would return without blocking."""
+        with self._cond:
+            return self._next in self._slots
+
 
 class PipelinedBlockRunner(Generic[JobT, ResultT]):
     """Queue-fed worker pipeline with ordered, backpressured results.
@@ -213,6 +218,7 @@ class PipelinedBlockRunner(Generic[JobT, ResultT]):
         self._instruments = instruments
         self._stop = threading.Event()
         self._started = False
+        self._slots: _OrderedSlots | None = None
         self.stats = RunnerStats(
             worker_wait_seconds={i: 0.0 for i in range(n_workers)}
         )
@@ -240,11 +246,13 @@ class PipelinedBlockRunner(Generic[JobT, ResultT]):
         self,
         jobs: Iterable[JobT],
         fn: Callable[[int, JobT], ResultT],
-    ) -> Iterator[BlockResult[ResultT]]:
+    ) -> Generator[BlockResult[ResultT], None, None]:
         """Feed ``jobs`` through the workers; yield ordered results.
 
         ``fn`` is called as ``fn(seq, job)`` on a worker thread.  The
-        returned iterator owns the worker threads: exhausting it,
+        threads start before ``run`` returns, so a caller may feed
+        ``jobs`` while results are not yet wanted (the streaming writer
+        does).  The returned iterator owns the threads: exhausting it,
         closing it, or leaving it to be garbage collected joins them.
         An exception raised by the ``jobs`` iterable itself surfaces
         (re-raised at the consumer) after every previously fed block's
@@ -253,7 +261,14 @@ class PipelinedBlockRunner(Generic[JobT, ResultT]):
         if self._started:
             raise ConfigurationError("runner.run() may only be called once")
         self._started = True
-        return self._run(jobs, fn)
+        results = self._run(jobs, fn)
+        next(results)  # start the threads; the iterator now owns them
+        return cast("Generator[BlockResult[ResultT], None, None]", results)
+
+    def ready(self) -> bool:
+        """Whether the next ordered result is parked, so taking it from
+        the iterator :meth:`run` returned will not block."""
+        return self._slots is not None and self._slots.ready()
 
     # -- internals --------------------------------------------------------
 
@@ -273,9 +288,9 @@ class PipelinedBlockRunner(Generic[JobT, ResultT]):
         self,
         jobs: Iterable[JobT],
         fn: Callable[[int, JobT], ResultT],
-    ) -> Iterator[BlockResult[ResultT]]:
+    ) -> Generator[BlockResult[ResultT] | None, None, None]:
         feed: "_queue.Queue[Any]" = _queue.Queue(maxsize=self._max_inflight)
-        slots = _OrderedSlots()
+        slots = self._slots = _OrderedSlots()
         sem = threading.Semaphore(self._max_inflight)
         stop = self._stop
         stats = self.stats
@@ -351,6 +366,7 @@ class PipelinedBlockRunner(Generic[JobT, ResultT]):
         for thread in threads:
             thread.start()
         try:
+            yield None  # primed by run()
             while True:
                 kind, item = slots.get_next()
                 if kind == "end":
@@ -386,60 +402,3 @@ class PipelinedBlockRunner(Generic[JobT, ResultT]):
             if self._instruments is not None:
                 self._instruments.parallel_queue_depth.set(0, queue="feed")
                 self._instruments.parallel_inflight_blocks.set(0)
-
-
-def bounded_relay(
-    items: Iterable[Any], depth: int, *, name: str = "isobar-relay"
-) -> Iterator[Any]:
-    """Produce ``items`` on a helper thread through a bounded queue.
-
-    The queue depth is the backpressure bound: at most ``depth`` items
-    are in flight between the producer and the consumer, so a slow
-    consumer stalls production instead of buffering the stream in
-    memory.  A producer exception is re-raised at the consuming end;
-    abandoning the generator stops the producer promptly.
-
-    This is the readahead primitive behind ``stream_compress`` /
-    ``stream_decompress`` — the single-worker degenerate case of the
-    block pipeline, kept allocation-free.
-    """
-    if depth < 1:
-        raise ConfigurationError(f"depth must be positive, got {depth}")
-    q: "_queue.Queue[tuple[str, Any]]" = _queue.Queue(maxsize=depth)
-    stop = threading.Event()
-    _END = object()
-
-    def _produce() -> None:
-        try:
-            for item in items:
-                while not stop.is_set():
-                    try:
-                        q.put(("item", item), timeout=0.1)
-                        break
-                    except _queue.Full:
-                        continue
-                if stop.is_set():
-                    return
-            tail = ("end", _END)
-        except BaseException as exc:  # noqa: BLE001 - relayed to consumer
-            tail = ("err", exc)
-        while not stop.is_set():
-            try:
-                q.put(tail, timeout=0.1)
-                return
-            except _queue.Full:
-                continue
-
-    producer = threading.Thread(target=_produce, name=name, daemon=True)
-    producer.start()
-    try:
-        while True:
-            kind, value = q.get()
-            if kind == "item":
-                yield value
-            elif kind == "err":
-                raise value
-            else:
-                return
-    finally:
-        stop.set()

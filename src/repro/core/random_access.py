@@ -91,7 +91,7 @@ class ChunkIndexEntry:
 
 
 def _scan_index(
-    data: bytes, header: ContainerHeader, offset: int
+    source: BinaryIO, header: ContainerHeader, offset: int
 ) -> list[ChunkIndexEntry]:
     """Build the chunk index by walking the metadata chain (O(n_chunks)).
 
@@ -100,7 +100,7 @@ def _scan_index(
     """
     index: list[ChunkIndexEntry] = []
     element_cursor = 0
-    for record in iter_chunk_records(data, header, offset):
+    for record in iter_chunk_records(source, header, offset):
         meta = record.meta
         index.append(
             ChunkIndexEntry(
@@ -289,13 +289,13 @@ class ContainerFile:
         else:
             reason = location.status
 
-        # Fallback: the structural scan over the whole stream.  Strictly
-        # worse than the footer path (O(n_chunks) and a full read) but
-        # keeps every pre-footer and damaged container readable.
+        # Fallback: the structural scan of the chunk chain, one record
+        # read per chunk.  Strictly worse than the footer path
+        # (O(n_chunks) reads) but keeps every pre-footer and damaged
+        # container readable.
         self._fallback_reason = reason
         self._instruments.footer_fallback.inc(1, reason=reason)
-        data = self._pread(0, file_size)
-        return header, _scan_index(data, header, header_end)
+        return header, _scan_index(self._file, header, header_end)
 
     def _pread(self, offset: int, n_bytes: int) -> bytes:
         self._file.seek(offset)

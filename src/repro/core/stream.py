@@ -1,12 +1,14 @@
-"""Streaming file-to-file compression (constant-memory in-situ path).
+"""Streaming file-to-file compression (bounded-memory in-situ path).
 
 Extreme-scale arrays do not fit in memory (Section II-D); the streaming
 writer consumes an element iterator — e.g.
 :func:`repro.datasets.loaders.stream_raw_chunks` — and emits a standard
-ISOBAR container incrementally, holding only one chunk at a time, on
-the in-memory chunk engine's decide step and per-chunk encoder
-(:class:`~repro.core.pipeline.IsobarCompressor`).  The reader streams
-chunks back out the same way.
+ISOBAR container incrementally on the in-memory chunk engine
+(:class:`~repro.core.pipeline.IsobarCompressor`): its decide step, its
+per-chunk encoder and, with ``n_workers > 1``, its block runner.  It
+holds one chunk at a time inline, ``1 + max_inflight`` pipelined.  The
+reader streams chunks back out through the engine's decode loop the
+same way.
 
 Because the container's global header records the chunk count, which is
 unknown until the stream ends, the writer reserves the header and
@@ -26,36 +28,40 @@ recoverable chunk-by-chunk via
 from __future__ import annotations
 
 import os
+import queue
 import time as _time
+import weakref
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
 from repro.analysis.bytefreq import element_width
-from repro.codecs.base import Codec, get_codec
-from repro.core.exceptions import (
-    ContainerFormatError,
-    InvalidInputError,
-    TruncatedContainerError,
+from repro.codecs.base import get_codec
+from repro.core.exceptions import ContainerFormatError, InvalidInputError
+from repro.core.metadata import (
+    ContainerFooter,
+    ContainerHeader,
+    iter_chunk_records,
 )
-from repro.core.metadata import ChunkMetadata, ContainerHeader, locate_footer
 from repro.core.pipeline import (
     ChunkReport,
+    DecodeJob,
+    EncodedBlob,
     IsobarCompressor,
     _degradation_from_reports,
-    decode_chunk_payload,
+    _Lead,
     index_footer_from_reports,
 )
-from repro.core.pipeline_engine import bounded_relay
+from repro.core.pipeline_engine import PipelinedBlockRunner, RunnerStats
 from repro.core.preferences import IsobarConfig, salvage_policy_for
 from repro.core.resilience import DegradationReport
-from repro.core.selector import SelectorDecision
-from repro.observability.instruments import PipelineInstruments
-from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
+from repro.observability.registry import MetricsRegistry
 from repro.observability.report import PipelineReport
-from repro.observability.trace import NULL_TRACER, Tracer
 
 __all__ = ["StreamingWriter", "stream_compress", "stream_decompress"]
+
+#: What a closed stream with no chunks holds after its header.
+_EMPTY_FOOTER = ContainerFooter(entries=()).encode()
 
 
 class StreamingWriter:
@@ -69,22 +75,31 @@ class StreamingWriter:
                 writer.write_chunk(chunk)
             writer.close()
 
-    The writer runs on the in-memory chunk engine: the first chunk
-    drives :class:`~repro.core.pipeline.IsobarCompressor`'s decide step
-    (codec and linearization for the whole stream), and every chunk
-    goes through its per-chunk encoder, inline — each chunk is in the
-    sink when ``write_chunk`` returns.  The writer itself only owns
-    the sink, the header patch, the index footer and the atomic
-    ``open``/``abort``/``close``.  ``close()`` seeks back and patches
-    the header with the final element/chunk counts, so the sink must
-    be seekable.
+    The writer runs on :class:`~repro.core.pipeline.IsobarCompressor`
+    with the same ``n_workers`` and ``max_inflight``: the first chunk
+    drives its decide step (codec and linearization for the whole
+    stream) on the caller's thread, and every chunk goes through its
+    per-chunk encoder.  With one worker (the default) that runs inline
+    and each chunk is in the sink when ``write_chunk`` returns.  With
+    ``n_workers > 1`` every chunk, chunk 0 included, is copied and
+    encoded on the engine's block runner; ``write_chunk`` writes the
+    blocks that have finished, in order, and blocks only while
+    ``max_inflight`` chunks are in flight, so memory is bounded by
+    ``1 + max_inflight`` chunks and ``close()`` is the point where the
+    file is durable.  Failed blocks are retried serially or cancel the
+    run as in the in-memory engine; a chunk error (pipelined, it may
+    surface in a later ``write_chunk`` or in ``close()``) aborts the
+    writer.  The file is byte-identical for every worker count.
 
+    The writer itself only owns the sink, the header patch, the index
+    footer and the atomic ``open``/``abort``/``close``; ``close()``
+    seeks back to patch the header, so the sink must be seekable.
     With ``collect_metrics=True`` (or a shared ``metrics`` registry)
-    every ``write_chunk`` records the analyze/partition/solve/write
-    stages and chunk outcomes, and ``close()`` publishes a
+    every chunk records the analyze/partition/solve/write stages and
+    its outcome, and ``close()`` publishes a
     :class:`~repro.observability.PipelineReport` as
-    :attr:`last_report`; the report's wall time covers only the time
-    spent inside the writer, not the caller's chunk production.
+    :attr:`last_report`, whose wall time covers only the time spent
+    inside the writer.
     """
 
     def __init__(
@@ -93,6 +108,8 @@ class StreamingWriter:
         dtype: np.dtype,
         config: IsobarConfig | None = None,
         *,
+        n_workers: int = 1,
+        max_inflight: int | None = None,
         collect_metrics: bool = False,
         metrics: MetricsRegistry | None = None,
     ):
@@ -100,14 +117,21 @@ class StreamingWriter:
         self._dtype = np.dtype(dtype)
         element_width(self._dtype)  # validate
         self._engine = IsobarCompressor(
-            config, collect_metrics=collect_metrics, metrics=metrics
+            config, n_workers, max_inflight=max_inflight,
+            collect_metrics=collect_metrics, metrics=metrics,
         )
         # One tracer for the whole stream: the report sums its stages.
         self._tracer = self._engine._tracer()
         self._wall_seconds = 0.0
-        # Set by the first chunk's decision.
-        self._decision: SelectorDecision | None = None
-        self._codec: Codec | None = None
+        # Set by the first chunk: the decision, the queue of chunks the
+        # engine's encode loop reads, that loop's ordered outcomes, its
+        # runner (None inline) and the finalizer ending the queue.
+        self._lead: _Lead | None = None
+        self._jobs: "queue.SimpleQueue[np.ndarray | None] | None" = None
+        self._outcomes: Iterator[EncodedBlob] | None = None
+        self._runner: PipelinedBlockRunner | None = None
+        self._end_jobs: weakref.finalize | None = None
+        self._pending = 0  # chunks queued but not yet written
         self._reports: list[ChunkReport] = []
         self._header_offset = sink.tell()
         self._closed = False
@@ -130,6 +154,8 @@ class StreamingWriter:
         config: IsobarConfig | None = None,
         *,
         atomic: bool = True,
+        n_workers: int = 1,
+        max_inflight: int | None = None,
         collect_metrics: bool = False,
         metrics: MetricsRegistry | None = None,
     ) -> "StreamingWriter":
@@ -139,8 +165,8 @@ class StreamingWriter:
         temporary file next to the destination and ``close()`` fsyncs
         and atomically renames it into place — ``path`` never holds a
         half-written container, even if the process crashes mid-stream.
-        A failed or aborted write leaves ``path`` untouched (any prior
-        version survives).  ``abort()`` discards the temp file.
+        A failed (a failing ``close()`` included) or aborted write
+        leaves ``path`` untouched and discards the temp file.
         """
         final_path = os.fspath(path)
         if atomic:
@@ -152,6 +178,7 @@ class StreamingWriter:
         try:
             writer = cls(
                 sink, dtype, config,
+                n_workers=n_workers, max_inflight=max_inflight,
                 collect_metrics=collect_metrics, metrics=metrics,
             )
         except BaseException:
@@ -182,6 +209,11 @@ class StreamingWriter:
         return self._engine.last_report
 
     @property
+    def last_runner_stats(self) -> RunnerStats | None:
+        """The block runner's accounting (``None`` when inline)."""
+        return self._engine.last_runner_stats
+
+    @property
     def degradation(self) -> DegradationReport:
         """Fault-containment record of the chunks written so far."""
         return _degradation_from_reports(self._reports)
@@ -189,7 +221,8 @@ class StreamingWriter:
     def _build_header(self) -> ContainerHeader:
         n_elements = sum(report.n_elements for report in self._reports)
         return self._engine._header(
-            self._decision or self._engine._fallback_decision(False),
+            self._engine._fallback_decision(False) if self._lead is None
+            else self._lead.decision,
             self._dtype, (n_elements,), n_elements, len(self._reports),
         )
 
@@ -202,8 +235,59 @@ class StreamingWriter:
         self._sink.write(encoded)
         self._bytes_written += len(encoded)
 
+    def _start(self, first: np.ndarray) -> None:
+        """Decide on the first chunk (stream chunks need not be
+        ``chunk_elements`` long, so it is analyzed whole and chunk 0
+        reuses that analysis and the winning trial), write the
+        placeholder header and start the engine's encode loop."""
+        engine = self._engine
+        lead = self._lead = engine._decide(first, self._tracer, first.size)
+        self._ensure_header()
+        jobs = self._jobs = queue.SimpleQueue()
+
+        def queued() -> Iterator[np.ndarray]:
+            while (chunk := jobs.get()) is not None:
+                yield chunk
+
+        if engine.n_workers > 1:
+            self._runner = engine._runner("isobar-stream")
+        self._outcomes = engine._encode_chunks(
+            queued(), lead, self._tracer, self._runner
+        )
+        # The end marker stops the loop on close() or abort(), or when
+        # an abandoned writer is collected (no runner thread refers
+        # back to the writer, so none keeps it alive).
+        self._end_jobs = weakref.finalize(self, jobs.put, None)
+
+    def _drain(self, limit: int) -> int:
+        """Write finished chunks in order, waiting while more than
+        ``limit`` are pending; returns the bytes written."""
+        assert self._outcomes is not None
+        written = 0
+        while self._pending and (
+            self._pending > limit
+            or (self._runner is not None and self._runner.ready())
+        ):
+            self._pending -= 1
+            blob, report = next(self._outcomes)
+            stage_start = _time.perf_counter()
+            self._sink.write(blob)
+            if self.metrics is not None:
+                self._tracer.add(
+                    "write", _time.perf_counter() - stage_start,
+                    bytes_out=len(blob),
+                )
+            self._bytes_written += len(blob)
+            self._reports.append(report)
+            written += len(blob)
+        return written
+
     def write_chunk(self, chunk: np.ndarray) -> int:
-        """Compress and append one chunk; returns bytes written."""
+        """Compress and append one chunk; returns the chunk bytes written
+        to the sink during the call — this chunk's record inline, the
+        records of the earlier chunks that finished meanwhile when
+        pipelined (``close()`` writes the rest).  A chunk error aborts
+        the writer."""
         if self._closed:
             raise InvalidInputError("writer already closed")
         arr = np.asarray(chunk).reshape(-1)
@@ -214,70 +298,72 @@ class StreamingWriter:
             )
         if arr.size == 0:
             return 0
-        enabled = self._engine.collect_metrics
-        wall_start = _time.perf_counter() if enabled else 0.0
-        decision, codec = self._decision, self._codec
-        analysis = trial = None
-        if decision is None or codec is None:
-            # Stream chunks need not be config.chunk_elements long, so
-            # the decision analyzes this whole first chunk; the encoder
-            # reuses that analysis (and the winning trial) for it.
-            lead = self._engine._decide(arr, self._tracer, arr.size)
-            decision = self._decision = lead.decision
-            codec = self._codec = lead.codec
-            analysis, trial = lead.analysis, lead.trial
-            self._ensure_header()
-        blob, report = self._engine._compress_chunk(
-            len(self._reports), arr, decision, codec, self._tracer,
-            analysis=analysis, trial=trial,
-        )
-        stage_start = _time.perf_counter() if enabled else 0.0
-        self._sink.write(blob)
-        self._bytes_written += len(blob)
-        self._reports.append(report)
-        if enabled:
-            self._tracer.add(
-                "write", _time.perf_counter() - stage_start,
-                bytes_out=len(blob),
-            )
-            self._wall_seconds += _time.perf_counter() - wall_start
-        return len(blob)
+        wall_start = _time.perf_counter()
+        if self._engine.n_workers > 1:
+            # The caller may reuse its buffer (an in-situ step
+            # overwriting its field) before a worker encodes it.
+            arr = arr.copy()
+        try:
+            if self._jobs is None:
+                self._start(arr)
+            assert self._jobs is not None
+            limit = 0 if self._runner is None else self._runner.max_inflight
+            written = self._drain(limit - 1)
+            self._jobs.put(arr)
+            self._pending += 1
+            written += self._drain(limit)
+        except BaseException:
+            self.abort()
+            raise
+        self._wall_seconds += _time.perf_counter() - wall_start
+        return written
 
     def close(self) -> None:
-        """Patch the header with final counts, append the chunk-index
-        footer, flush and (when opened via :meth:`open`) atomically
-        publish the file."""
+        """Drain the chunks in flight, patch the header with final
+        counts, append the chunk-index footer, flush and (when opened
+        via :meth:`open`) atomically publish the file.  If any step
+        fails (a chunk error deferred from the runner included), the
+        writer is aborted and the error re-raised."""
         if self._closed:
             return
-        self._ensure_header()  # empty stream: header with zero chunks
-        end = self._sink.tell()
-        self._sink.seek(self._header_offset)
-        header = self._build_header()
-        encoded = header.encode()
-        if len(encoded) != self._header_size:
-            raise ContainerFormatError(
-                f"final header is {len(encoded)} bytes, placeholder was "
-                f"{self._header_size}"
-            )
-        self._sink.write(encoded)
-        self._sink.seek(end)
-        # The footer is the last thing written: a crash before this
-        # point leaves a footer-less (but salvageable) chunk chain,
-        # never a misleading index.  Its offsets are container-relative
-        # (the sink may not start at 0).
-        footer = index_footer_from_reports(
-            self._header_size, self._reports
-        ).encode()
-        self._sink.write(footer)
-        self._bytes_written += len(footer)
-        self._sink.flush()
-        if self._owned:
-            os.fsync(self._sink.fileno())
-            self._sink.close()
-            if self._temp_path is not None:
-                os.replace(self._temp_path, self._final_path)
+        wall_start = _time.perf_counter()
+        try:
+            if self._outcomes is not None:
+                self._drain(0)
+                self._stop()
+            self._ensure_header()  # empty stream: header with zero chunks
+            end = self._sink.tell()
+            self._sink.seek(self._header_offset)
+            header = self._build_header()
+            encoded = header.encode()
+            if len(encoded) != self._header_size:
+                raise ContainerFormatError(
+                    f"final header is {len(encoded)} bytes, placeholder "
+                    f"was {self._header_size}"
+                )
+            self._sink.write(encoded)
+            self._sink.seek(end)
+            # The footer is the last thing written: a crash before this
+            # point leaves a footer-less (but salvageable) chunk chain,
+            # never a misleading index.  Its offsets are
+            # container-relative (the sink may not start at 0).
+            footer = index_footer_from_reports(
+                self._header_size, self._reports
+            ).encode()
+            self._sink.write(footer)
+            self._bytes_written += len(footer)
+            self._sink.flush()
+            if self._owned:
+                os.fsync(self._sink.fileno())
+                self._sink.close()
+                if self._temp_path is not None:
+                    os.replace(self._temp_path, self._final_path)
+        except BaseException:
+            self.abort()
+            raise
         self._closed = True
         if self._engine.collect_metrics:
+            self._wall_seconds += _time.perf_counter() - wall_start
             self._engine._publish_run(
                 "compress", header,
                 sum(report.raw_bytes for report in self._reports),
@@ -285,23 +371,32 @@ class StreamingWriter:
                 self._wall_seconds, self._reports,
             )
 
-    def abort(self) -> None:
-        """Discard the stream: close the handle, delete any temp file.
+    def _stop(self) -> None:
+        """End the encode loop and join its runner's threads."""
+        if self._end_jobs is not None:
+            self._end_jobs()
+        if self._outcomes is not None:
+            self._outcomes.close()  # type: ignore[attr-defined]
+            self._outcomes = None
 
-        Only meaningful for writers created with :meth:`open`; for a
-        caller-provided sink the handle is left untouched (the caller
-        owns it).  Idempotent, and a no-op after ``close()``.
-        """
+    def abort(self) -> None:
+        """Discard the stream: stop the runner, close the handle, delete
+        any temp file.  A caller-provided sink is left open (the caller
+        owns it).  Idempotent, and a no-op after ``close()``."""
         if self._closed:
             return
         self._closed = True
-        if not self._owned:
-            return
         try:
-            self._sink.close()
+            self._stop()
         finally:
-            if self._temp_path is not None and os.path.exists(self._temp_path):
-                os.unlink(self._temp_path)
+            if self._owned:
+                try:
+                    self._sink.close()
+                finally:
+                    if self._temp_path is not None and os.path.exists(
+                        self._temp_path
+                    ):
+                        os.unlink(self._temp_path)
 
     def __enter__(self) -> "StreamingWriter":
         return self
@@ -316,6 +411,15 @@ class StreamingWriter:
             self.close()
 
 
+def _max_inflight(readahead_chunks: int) -> int | None:
+    """The engine's in-flight bound for ``readahead_chunks`` (0: default)."""
+    if readahead_chunks < 0:
+        raise InvalidInputError(
+            f"readahead_chunks must be >= 0, got {readahead_chunks}"
+        )
+    return readahead_chunks or None
+
+
 def stream_compress(
     chunks: Iterable[np.ndarray],
     sink_path: str | os.PathLike,
@@ -324,44 +428,28 @@ def stream_compress(
     *,
     atomic: bool = True,
     metrics: MetricsRegistry | None = None,
+    n_workers: int = 1,
     readahead_chunks: int = 0,
 ) -> int:
     """Compress an iterable of chunks into a container file.
 
-    Returns the total bytes written.  Memory use is bounded by one
-    chunk regardless of the stream length.  With ``atomic=True`` (the
+    Returns the total bytes written.  With ``atomic=True`` (the
     default) the destination path is populated by a single atomic
     rename on success, so a crash or error mid-stream never leaves a
     half-written container at ``sink_path``.  ``metrics`` optionally
     aggregates the stream's stage timings and chunk outcomes into an
-    existing registry.
-
-    ``readahead_chunks > 0`` produces chunks on a helper thread through
-    a queue of that depth, overlapping chunk production with
-    compression while bounding the in-flight buffer — the queue is the
-    backpressure valve when the writer slows down (e.g. while the
-    resilience layer retries and degrades faulty chunks).  0 (the
-    default) consumes the iterable inline, exactly as before.
+    existing registry.  ``n_workers > 1`` encodes on the engine's block
+    runner (see :class:`StreamingWriter`) while the iterable produces
+    the next chunk, with ``readahead_chunks`` as its in-flight bound
+    (0: the engine default); memory is then bounded by
+    ``1 + readahead_chunks`` chunks, else by one.
     """
-    if readahead_chunks < 0:
-        raise InvalidInputError(
-            f"readahead_chunks must be >= 0, got {readahead_chunks}"
-        )
-    writer = StreamingWriter.open(
-        sink_path, dtype, config, atomic=atomic, metrics=metrics
-    )
-    source = (
-        bounded_relay(chunks, readahead_chunks, name="isobar-stream-readahead")
-        if readahead_chunks > 0
-        else chunks
-    )
-    try:
-        for chunk in source:
+    with StreamingWriter.open(
+        sink_path, dtype, config, atomic=atomic, metrics=metrics,
+        n_workers=n_workers, max_inflight=_max_inflight(readahead_chunks),
+    ) as writer:
+        for chunk in chunks:
             writer.write_chunk(chunk)
-        writer.close()
-    except BaseException:
-        writer.abort()
-        raise
     return writer.bytes_written
 
 
@@ -402,13 +490,19 @@ def stream_decompress(
     errors: str = "raise",
     tolerate_unclosed: bool = False,
     metrics: MetricsRegistry | None = None,
+    n_workers: int = 1,
     readahead_chunks: int = 0,
 ) -> Iterator[np.ndarray]:
     """Yield the original chunks of a container file, one at a time.
 
-    Verifies each chunk's CRC before yielding; memory use is bounded by
-    one chunk on the strict path (``1 + readahead_chunks`` with
-    readahead).
+    Verifies each chunk's CRC before yielding.  The strict path walks
+    the file with :func:`~repro.core.metadata.iter_chunk_records` and
+    decodes with the in-memory engine's decode loop: inline with one
+    worker (the default), else on its block runner with at most
+    ``readahead_chunks`` chunks (0: the engine default) decoded ahead
+    of the consumer.  Memory is bounded by ``1 + readahead_chunks``
+    chunks (one inline); abandoning the iterator stops the runner and
+    closes the file.
 
     Parameters
     ----------
@@ -418,7 +512,7 @@ def stream_decompress(
         substitutes zero-element chunks of the declared length (legacy
         spellings ``"skip"`` / ``"zero_fill"`` keep working).  The
         lenient modes read the whole file into memory to allow
-        resynchronization.
+        resynchronization, and decode serially.
     tolerate_unclosed:
         Recover a stream whose final header patch never happened (the
         writer crashed before ``close()``): when the header still
@@ -430,17 +524,8 @@ def stream_decompress(
         Optional registry; the strict path records per-chunk ``decode``
         stage timings and the decoded-chunk counter as the generator is
         consumed.
-    readahead_chunks:
-        ``> 0`` reads and decodes chunks on a helper thread through a
-        bounded queue of that depth, overlapping file I/O + decode with
-        whatever the consumer does per chunk.  0 (the default) decodes
-        inline, exactly as before.  Applies to the strict path only;
-        the salvage paths stay serial (recovery is not a hot path).
     """
-    if readahead_chunks < 0:
-        raise InvalidInputError(
-            f"readahead_chunks must be >= 0, got {readahead_chunks}"
-        )
+    max_inflight = _max_inflight(readahead_chunks)
     # Canonical policy vocabulary shared by every decoder; _stream_salvage
     # speaks the salvage decoder's internal names.
     salvage_policy = salvage_policy_for(errors)
@@ -450,84 +535,36 @@ def stream_decompress(
             # Writer died before anything durable was written.
             return
         header, offset = ContainerHeader.decode(prefix)
-        source.seek(0, os.SEEK_END)
-        file_size = source.tell()
-        tail = b""
-        if header.n_chunks == 0 and file_size > offset:
+        file_size = source.seek(0, os.SEEK_END)
+        unclosed = header.n_chunks == 0 and file_size > offset
+        if unclosed:
             # Could be a crashed writer — or a closed *empty* stream,
-            # which legitimately carries a zero-entry index footer
-            # after its header.  Distinguish by looking for that footer.
-            source.seek(max(offset, file_size - 4096))
-            tail = source.read()
-
-    unclosed = header.n_chunks == 0 and file_size > offset
-    if unclosed:
-        location = locate_footer(tail)
-        if (
-            location.ok
-            and location.footer is not None
-            and location.footer.n_chunks == 0
-            and file_size - (len(tail) - location.start) == offset
-        ):
-            return  # closed empty stream: nothing to yield
-    if unclosed and not tolerate_unclosed:
-        raise ContainerFormatError(
-            f"header declares 0 chunks but {file_size - offset} payload "
-            "bytes follow: the stream was never closed (crashed "
-            "writer?); pass tolerate_unclosed=True to recover it"
-        )
-    if unclosed or salvage_policy != "raise":
-        yield from _stream_salvage(
-            path, salvage_policy, to_eof=unclosed
-        )
-        return
-
-    registry = NULL_REGISTRY if metrics is None else metrics
-    instruments = PipelineInstruments(registry)
-    tracer = Tracer(registry) if registry.enabled else NULL_TRACER
-
-    def _decode_chunks() -> Iterator[np.ndarray]:
-        with open(path, "rb") as source:
+            # whose header is followed by just a zero-entry footer.
             source.seek(offset)
-            codec = get_codec(header.codec_name)
-            width = header.element_width
-            for index in range(header.n_chunks):
-                # Chunk metadata has bounded size; read generously then
-                # seek to the payload start.
-                meta_start = source.tell()
-                meta_buf = source.read(64 + (width + 7) // 8)
-                meta, consumed = ChunkMetadata.decode(meta_buf, 0, width)
-                source.seek(meta_start + consumed)
-                compressed = source.read(meta.compressed_size)
-                incompressible = source.read(meta.incompressible_size)
-                if (
-                    len(compressed) != meta.compressed_size
-                    or len(incompressible) != meta.incompressible_size
-                ):
-                    raise TruncatedContainerError(
-                        f"chunk {index} at byte offset {meta_start}: "
-                        "container truncated mid-chunk"
-                    )
-                decode_start = (
-                    _time.perf_counter() if registry.enabled else 0.0
+            if source.read(len(_EMPTY_FOOTER) + 1) == _EMPTY_FOOTER:
+                return  # closed empty stream: nothing to yield
+            if not tolerate_unclosed:
+                raise ContainerFormatError(
+                    f"header declares 0 chunks but {file_size - offset} "
+                    "payload bytes follow: the stream was never closed "
+                    "(crashed writer?); pass tolerate_unclosed=True to "
+                    "recover it"
                 )
-                chunk = decode_chunk_payload(
-                    header, codec, meta, compressed, incompressible,
-                    chunk_index=index, byte_offset=meta_start,
-                )
-                if registry.enabled:
-                    tracer.add(
-                        "decode", _time.perf_counter() - decode_start,
-                        bytes_in=len(compressed) + len(incompressible),
-                        bytes_out=chunk.nbytes,
-                    )
-                    instruments.chunks_decoded.inc()
-                yield chunk
+        elif salvage_policy == "raise":
+            engine = IsobarCompressor(
+                n_workers=n_workers, max_inflight=max_inflight, metrics=metrics
+            )
 
-    if readahead_chunks > 0:
-        yield from bounded_relay(
-            _decode_chunks(), readahead_chunks,
-            name="isobar-stream-decode",
-        )
-    else:
-        yield from _decode_chunks()
+            def jobs() -> Iterator[DecodeJob]:
+                for record in iter_chunk_records(source, header, offset):
+                    source.seek(record.payload_offset)
+                    meta = record.meta
+                    compressed = source.read(meta.compressed_size)
+                    incompressible = source.read(meta.incompressible_size)
+                    yield record, compressed, incompressible, None
+
+            yield from engine._decode_records(
+                header, jobs(), engine._tracer()
+            )
+            return
+    yield from _stream_salvage(path, salvage_policy, to_eof=unclosed)

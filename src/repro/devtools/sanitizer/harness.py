@@ -5,7 +5,9 @@ Two modes share one report shape:
 * **smoke** (``isobar sanitize --smoke``) — a fixed set of scenarios
   that exercise the concurrency-heavy subsystems directly: the
   pipelined parallel compressor, the process-pool shared-memory path,
-  and a live service with the event-loop stall probe attached, plus a
+  pipelined stream writers and readers (finished, abandoned and
+  aborted, which must leave no thread, file handle or temp file), and
+  a live service with the event-loop stall probe attached, plus a
   deterministic lock-discipline scenario on instrumented locks.
   ``--seed-inversion`` adds a scenario that acquires two locks in
   opposite orders from two threads — the report must then contain the
@@ -199,6 +201,51 @@ def _scenario_parallel_roundtrip(_graph: LockOrderGraph) -> None:
         raise SanitizerError("parallel roundtrip mismatch")
 
 
+def _scenario_stream_roundtrip(_graph: LockOrderGraph) -> list[dict]:
+    """Pipelined stream writer and reader, a reader abandoned after its
+    first chunk and an aborted writer; returns the threads, file
+    handles (where ``/proc`` lists them) and temp files left behind."""
+    import numpy as np
+
+    from repro.core.preferences import IsobarConfig
+    from repro.core.stream import StreamingWriter, stream_decompress
+
+    def fds() -> set[str]:
+        fd_dir = "/proc/self/fd"
+        return set(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else set()
+
+    values = np.linspace(0.0, 1.0, 20_000, dtype=np.float64)
+    config = IsobarConfig(chunk_elements=4_096)
+    threads_before, fds_before = set(threading.enumerate()), fds()
+    with tempfile.TemporaryDirectory(prefix="isobar-sanitize-") as tmp:
+        path = os.path.join(tmp, "stream.isobar")
+        with StreamingWriter.open(
+            path, values.dtype, config, n_workers=2
+        ) as writer:
+            for start in range(0, values.size, 4_096):
+                writer.write_chunk(values[start:start + 4_096])
+        restored = np.concatenate(list(stream_decompress(path, n_workers=2)))
+        if not np.array_equal(restored, values):
+            raise SanitizerError("stream roundtrip mismatch")
+        abandoned = stream_decompress(path, n_workers=2)
+        next(abandoned)
+        del abandoned
+        aborted = StreamingWriter.open(
+            os.path.join(tmp, "aborted.isobar"), values.dtype, config,
+            n_workers=2,
+        )
+        aborted.write_chunk(values[:4_096])
+        aborted.write_chunk(values[4_096:8_192])
+        aborted.abort()
+        left = [("temp file", name) for name in os.listdir(tmp)
+                if name != "stream.isobar"]
+    left += [("thread", t.name) for t in threading.enumerate()
+             if t not in threads_before and t.is_alive()]
+    left += [("file handle", f"fd {fd}") for fd in fds() - fds_before]
+    return [{"kind": kind, "created_at": f"stream_roundtrip: {what}",
+             "pending_release": ["close"]} for kind, what in left]
+
+
 def _scenario_procpool_shm(_graph: LockOrderGraph) -> None:
     """Shared-memory transfer to a codec child, then full teardown."""
     from repro.codecs import procpool
@@ -266,15 +313,17 @@ def run_smoke(
         ("lock_discipline", _scenario_lock_discipline),
         ("parallel_roundtrip", _scenario_parallel_roundtrip),
         ("procpool_shm", _scenario_procpool_shm),
+        ("stream_roundtrip", _scenario_stream_roundtrip),
     ]
     if seed_inversion:
         scenarios.append(("seeded_inversion", _scenario_seeded_inversion))
+    left_behind: list[dict] = []  # leak records a scenario returns
     tracker.install()
     try:
         for name, scenario in scenarios:
             report.scenarios.append(name)
             try:
-                scenario(graph)
+                left_behind += scenario(graph) or []
             except Exception as exc:
                 report.errors.append(f"{name}: {exc!r}")
         report.scenarios.append("service_roundtrip")
@@ -289,7 +338,7 @@ def run_smoke(
     finally:
         tracker.uninstall()
     report.lock_cycles = [c.to_dict() for c in graph.find_cycles()]
-    report.leaks = [r.to_dict() for r in tracker.live()]
+    report.leaks = [r.to_dict() for r in tracker.live()] + left_behind
     _count_cycles(metrics, len(report.lock_cycles))
     return report
 

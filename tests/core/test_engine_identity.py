@@ -17,7 +17,9 @@ facade must match it); the stream written in 5,000-, 15,000- and
 whole array, so even 5,000-element stream chunks may pick another
 codec); then the one-byte-damaged container decoded under ``raise``,
 ``salvage-skip`` and ``salvage-zero``, first by the in-memory engine
-and then by ``stream_decompress``.
+and then by ``stream_decompress``.  The stream rows hold for every
+writer worker count and through ``repro.open_stream``, and the damaged
+rows for the inline and the runner-decoded stream reader.
 """
 
 import hashlib
@@ -196,9 +198,15 @@ def _outcome(decode) -> str:
     return _digest(np.ascontiguousarray(values).tobytes())
 
 
-def _stream_container(values: np.ndarray, step: int) -> bytes:
+def _stream_container(
+    values: np.ndarray, step: int, n_workers: int = 1,
+    max_inflight: int | None = None,
+) -> bytes:
     sink = io.BytesIO()
-    writer = StreamingWriter(sink, values.dtype, CONFIG)
+    writer = StreamingWriter(
+        sink, values.dtype, CONFIG,
+        n_workers=n_workers, max_inflight=max_inflight,
+    )
     for start in range(0, values.size, step):
         writer.write_chunk(values[start:start + step])
     writer.close()
@@ -243,6 +251,37 @@ def test_stream_containers_match_parent(case):
     assert digests == row[1:4]
 
 
+@pytest.mark.parametrize(
+    "n_workers, max_inflight", [(2, None), (4, None), (2, 1)]
+)
+def test_pipelined_stream_containers_match_parent(
+    case, n_workers, max_inflight
+):
+    values, row = case
+    digests = tuple(
+        _digest(_stream_container(values, step, n_workers, max_inflight))
+        for step in (5_000, 15_000, 1_700)
+    )
+    assert digests == row[1:4]
+
+
+def test_open_stream_containers_match_parent(case, tmp_path, monkeypatch):
+    values, row = case
+    monkeypatch.setattr(repro.api, "usable_cpus", lambda: 2)
+    path = tmp_path / "s.isobar"
+    digests = []
+    for step in (5_000, 15_000, 1_700):
+        with repro.open_stream(
+            path, "w", dtype=values.dtype, config=CONFIG
+        ) as writer:
+            assert writer.last_runner_stats is None  # set by chunk 0
+            for start in range(0, values.size, step):
+                writer.write_chunk(values[start:start + step])
+        assert writer.last_runner_stats is not None  # ran pipelined
+        digests.append(_digest(path.read_bytes()))
+    assert tuple(digests) == row[1:4]
+
+
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_engine_damaged_decode_matches_parent(case, n_workers):
     values, row = case
@@ -256,16 +295,26 @@ def test_engine_damaged_decode_matches_parent(case, n_workers):
     assert outcomes == row[4:7]
 
 
-def test_stream_damaged_decode_matches_parent(case, tmp_path):
-    values, row = case
+def _stream_damaged_outcomes(values, tmp_path, n_workers=1):
     damaged = bytearray(IsobarCompressor(CONFIG).compress(values))
     damaged[len(damaged) // 2] ^= 0xFF
     path = tmp_path / "damaged.isobar"
     path.write_bytes(bytes(damaged))
 
     def decode(errors: str) -> np.ndarray:
-        chunks = list(stream_decompress(path, errors=errors))
+        chunks = list(
+            stream_decompress(path, errors=errors, n_workers=n_workers)
+        )
         return np.concatenate(chunks) if chunks else values[:0]
 
-    outcomes = tuple(_outcome(lambda: decode(e)) for e in POLICIES)
-    assert outcomes == row[7:10]
+    return tuple(_outcome(lambda: decode(e)) for e in POLICIES)
+
+
+def test_stream_damaged_decode_matches_parent(case, tmp_path):
+    values, row = case
+    assert _stream_damaged_outcomes(values, tmp_path) == row[7:10]
+
+
+def test_runner_stream_damaged_decode_matches_parent(case, tmp_path):
+    values, row = case
+    assert _stream_damaged_outcomes(values, tmp_path, 2) == row[7:10]

@@ -17,7 +17,6 @@ import pytest
 from repro.core.exceptions import ConfigurationError
 from repro.core.pipeline_engine import (
     PipelinedBlockRunner,
-    bounded_relay,
     default_max_inflight,
 )
 
@@ -206,35 +205,35 @@ class TestInstrumentation:
         assert "isobar_parallel_queue_depth" in exported
 
 
-class TestBoundedRelay:
-    def test_order_preserved(self):
-        assert list(bounded_relay(range(100), 4)) == list(range(100))
 
-    def test_producer_exception_relayed(self):
-        def items():
-            yield 1
-            raise OSError("disk gone")
+class TestEagerStart:
+    """``run`` starts the threads itself, so a caller can feed jobs
+    before it wants any result (the pipelined stream writer does)."""
 
-        consumed = []
-        with pytest.raises(OSError, match="disk gone"):
-            for item in bounded_relay(items(), 2):
-                consumed.append(item)
-        assert consumed == [1]
+    def test_workers_run_before_the_first_result_is_taken(self):
+        ran = threading.Event()
+        runner = PipelinedBlockRunner(2)
+        results = runner.run([7], lambda _s, job: ran.set() or job)
+        assert ran.wait(5.0)
+        assert [block.value for block in results] == [7]
 
-    def test_depth_validation(self):
-        with pytest.raises(ConfigurationError):
-            list(bounded_relay([1], 0))
+    def test_ready_reports_a_parked_result(self):
+        gate = threading.Event()
+        runner = PipelinedBlockRunner(1)
+        results = runner.run([3], lambda _s, job: gate.wait(5.0) and job)
+        assert not runner.ready()
+        gate.set()
+        deadline = time.monotonic() + 5.0
+        while not runner.ready() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert runner.ready()
+        assert next(results).value == 3
 
-    def test_abandoning_stops_producer(self):
-        produced = []
-
-        def items():
-            for i in range(1000):
-                produced.append(i)
-                yield i
-
-        gen = bounded_relay(items(), 2)
-        assert next(gen) == 0
-        gen.close()
-        time.sleep(0.05)
-        assert len(produced) < 1000
+    def test_closing_an_untouched_iterator_joins_the_threads(self):
+        runner = PipelinedBlockRunner(2, name="isobar-eager-close")
+        results = runner.run(range(10), lambda _s, job: job)
+        results.close()
+        assert not [
+            t for t in threading.enumerate()
+            if t.name.startswith("isobar-eager-close")
+        ]

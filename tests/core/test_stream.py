@@ -265,7 +265,8 @@ class TestLenientStreaming:
 
 class TestStreamingResilience:
     """Degraded chunks flush through the streaming writer like healthy
-    ones, and bounded readahead overlaps production with compression."""
+    ones, and the runner's in-flight bound (``readahead_chunks``)
+    overlaps production with compression."""
 
     def _pinned(self, **overrides):
         from repro.core.preferences import Linearization
@@ -339,7 +340,7 @@ class TestStreamingResilience:
         stream_compress(_chunks(data, 10_000), inline, np.float64,
                         config=_CFG)
         stream_compress(_chunks(data, 10_000), ahead, np.float64,
-                        config=_CFG, readahead_chunks=2)
+                        config=_CFG, n_workers=2, readahead_chunks=2)
         assert inline.read_bytes() == ahead.read_bytes()
 
     def test_readahead_negative_rejected(self, tmp_path, data):
@@ -355,7 +356,8 @@ class TestStreamingResilience:
 
         with pytest.raises(RuntimeError, match="simulation crashed"):
             stream_compress(exploding(), tmp_path / "c.isobar",
-                            np.float64, config=_CFG, readahead_chunks=4)
+                            np.float64, config=_CFG, n_workers=2,
+                            readahead_chunks=4)
         # Atomic write: the sink must not exist after the failure.
         assert not (tmp_path / "c.isobar").exists()
 
@@ -365,7 +367,7 @@ class TestStreamingResilience:
                         config=_CFG)
         inline = np.concatenate(list(stream_decompress(path)))
         ahead = np.concatenate(
-            list(stream_decompress(path, readahead_chunks=3))
+            list(stream_decompress(path, n_workers=2, readahead_chunks=3))
         )
         assert np.array_equal(inline, ahead)
         assert np.array_equal(inline, data)
@@ -389,6 +391,7 @@ class TestStreamingResilience:
         path.write_bytes(bytes(blob))
         consumed = []
         with pytest.raises(IsobarError):
-            for chunk in stream_decompress(path, readahead_chunks=2):
+            for chunk in stream_decompress(path, n_workers=2,
+                                           readahead_chunks=2):
                 consumed.append(chunk)
         assert consumed  # earlier chunks arrived before the error

@@ -257,6 +257,30 @@ class TestSmokeHarness:
         assert report.errors == []
         assert report.ok, report.render_text()
 
+    def test_stream_scenario_leaves_nothing_behind(self):
+        from repro.devtools.sanitizer.harness import (
+            _scenario_stream_roundtrip,
+        )
+
+        assert _scenario_stream_roundtrip(LockOrderGraph()) == []
+
+    def test_stream_scenario_reports_a_live_runner(self, monkeypatch):
+        """An abort that forgets the runner shows up as thread leaks."""
+        from repro.core.stream import StreamingWriter
+        from repro.devtools.sanitizer.harness import (
+            _scenario_stream_roundtrip,
+        )
+
+        monkeypatch.setattr(StreamingWriter, "_stop", lambda _w: None)
+        left = _scenario_stream_roundtrip(LockOrderGraph())
+        assert {leak["kind"] for leak in left} == {"thread"}
+        # The dropped writer's finalizer still ends its runner.
+        time.sleep(0.2)
+        assert not [
+            t for t in threading.enumerate()
+            if t.name.startswith("isobar-stream")
+        ]
+
     def test_smoke_run_with_seed_reports_the_cycle(self):
         report = run_smoke(
             seed_inversion=True, stall_threshold_seconds=5.0

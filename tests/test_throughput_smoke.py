@@ -56,6 +56,10 @@ def test_sweep_smoke():
     # Serial and parallel emit byte-identical containers.
     parallel = next(r for r in rows if r["mode"] == "parallel")
     assert serial["compressed_bytes"] == parallel["compressed_bytes"]
+    # Each row records the engine workers it ran with.
+    stream = next(r for r in rows if r["mode"] == "stream")
+    assert (serial["n_workers"], parallel["n_workers"],
+            stream["n_workers"]) == (1, 2, 2)
 
 
 def test_cli_writes_json(tmp_path):
