@@ -2,8 +2,8 @@
 """Concurrency sanitizer smoke: the tsan-lite harness as a CI gate.
 
 Runs the ``isobar sanitize --smoke`` scenario battery — lock-discipline
-exercise, parallel compress/decompress round-trip, process-pool
-shared-memory round-trip, and a live service request — under the
+exercise, parallel compress/decompress round-trip, pipelined stream
+round-trip, and a live service request — under the
 runtime probes (lock-order graph, resource leak tracker, event-loop
 stall probe) and writes the probe report as a JSON artefact::
 

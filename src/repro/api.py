@@ -80,9 +80,9 @@ def _engine_workers(codec_names: tuple[str, ...]) -> int:
     """Engine workers for a facade call that may solve with these codecs.
 
     One per usable CPU when every codec's C core releases the GIL, so
-    worker threads overlap.  Pure-Python codecs run inline: threads
-    cannot overlap them, and the facade never starts the engine's
-    process pool.
+    worker threads overlap.  A GIL-bound codec (a user-registered
+    :class:`~repro.codecs.CallableCodec`, say) runs inline: threads
+    cannot overlap it.
     """
     try:
         threaded = all(get_codec(name).releases_gil for name in codec_names)
@@ -141,7 +141,7 @@ def compress(
     Chunks are solved on the pipelined engine with one worker per
     usable CPU (:func:`~repro.core.pipeline_engine.usable_cpus`) when
     every codec the call may use releases the GIL (zlib, bzip2, lzma,
-    isal-zlib); a single-chunk input, a one-CPU host or a pure-Python
+    isal-zlib); a single-chunk input, a one-CPU host or a GIL-bound
     codec runs inline.  The container is byte-identical to the serial
     :class:`~repro.core.pipeline.IsobarCompressor`'s.
     """

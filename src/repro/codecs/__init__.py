@@ -20,18 +20,12 @@ from repro.codecs.base import (
     iter_codecs,
     register_codec,
 )
-from repro.codecs.bitio import BitReader, BitWriter
-from repro.codecs.bwt import BwtCodec
 from repro.codecs.fpc import FpcCodec
-from repro.codecs.huffman import HuffmanCodec
-from repro.codecs.lzss import LzssCodec
-from repro.codecs.rle import RleCodec
 from repro.codecs.fpzip_like import (
     FpzipLikeCodec,
     float_to_ordered_uint,
     ordered_uint_to_float,
 )
-from repro.codecs.range_coder import RangeCoderCodec
 from repro.codecs.pfor import (
     PdictCodec,
     PforCodec,
@@ -48,13 +42,6 @@ from repro.codecs.standard import (
 )
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
-    "HuffmanCodec",
-    "LzssCodec",
-    "RleCodec",
-    "RangeCoderCodec",
-    "BwtCodec",
     "ArrayCodec",
     "pack_array_header",
     "unpack_array_header",
@@ -94,10 +81,3 @@ register_codec(LzmaCodec())
 # degrades to stdlib zlib when python-isal is absent) so container
 # files naming it always decode.
 register_codec(IsalZlibCodec())
-# From-scratch demonstration solvers (pure Python; best kept to modest
-# payload sizes — ratios are honest, throughput is interpreter-bound).
-register_codec(HuffmanCodec())
-register_codec(LzssCodec())
-register_codec(RleCodec())
-register_codec(RangeCoderCodec())
-register_codec(BwtCodec())

@@ -41,19 +41,13 @@ class Codec(abc.ABC):
     name: str = ""
 
     #: True when :meth:`compress`/:meth:`decompress` release the GIL for
-    #: the bulk of their work (zlib/bz2/lzma/isal C calls do).  The
-    #: pipelined parallel engine uses this to decide whether worker
-    #: *threads* can scale the codec, or whether the work must be routed
-    #: to a process pool instead.
+    #: the bulk of their work (zlib/bz2/lzma/isal C calls do; every
+    #: built-in solver does).  It only decides whether the facade
+    #: (``repro.compress``/``decompress``) runs a codec on worker
+    #: threads: a codec that keeps the default ``False`` — a
+    #: user-registered :class:`CallableCodec`, say — runs inline there,
+    #: since threads could not overlap its work.
     releases_gil: bool = False
-
-    #: True when the codec is stateless AND resolvable by name in a
-    #: freshly spawned interpreter (i.e. registered by ``repro.codecs``
-    #: at import time).  Required for the process-pool fallback: the
-    #: child process re-resolves the codec from its own registry, so
-    #: ad-hoc codecs (chaos wrappers, test doubles) must keep the
-    #: default ``False`` and stay on the thread path.
-    process_safe: bool = False
 
     @abc.abstractmethod
     def compress(self, data: bytes) -> bytes:

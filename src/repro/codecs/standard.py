@@ -52,9 +52,8 @@ class ZlibCodec(Codec):
     """DEFLATE (LZ77 + Huffman) via zlib — the paper's fast solver."""
 
     # CPython's zlibmodule drops the GIL around deflate/inflate, so
-    # worker threads scale this codec without a process pool.
+    # worker threads scale this codec.
     releases_gil = True
-    process_safe = True
 
     def __init__(self, level: int = 6):
         if not 1 <= level <= 9:
@@ -157,7 +156,6 @@ class Bzip2Codec(Codec):
     """
 
     releases_gil = True
-    process_safe = True
 
     def __init__(self, level: int = 9):
         if not 1 <= level <= 9:
@@ -184,7 +182,6 @@ class LzmaCodec(Codec):
     """LZMA via the xz container — a slower, higher-ratio extra solver."""
 
     releases_gil = True
-    process_safe = True
 
     def __init__(self, preset: int = 1):
         if not 0 <= preset <= 9:
@@ -224,7 +221,6 @@ class IsalZlibCodec(Codec):
     """
 
     releases_gil = True
-    process_safe = True
 
     #: ISA-L level -> roughly comparable stdlib zlib level.
     _STDLIB_LEVELS = {0: 1, 1: 2, 2: 6, 3: 9}

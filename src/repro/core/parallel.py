@@ -15,13 +15,8 @@ identical for every worker count (chunks are reassembled in submission
 order regardless of worker completion order).
 
 Worker *threads* scale the hot paths whose C cores release the GIL —
-numpy byte-column histograms and the zlib/bz2/lzma/isal solvers.  For
-pure-python solvers (``codec.releases_gil`` is false) the engine
-routes the codec calls to a shared process pool with shared-memory
-payload transfer instead (:mod:`repro.codecs.procpool`), falling back
-to in-thread execution for ad-hoc codecs that a fresh process could
-not resolve (chaos wrappers, test doubles) — so fault-injection
-behaves identically in serial and parallel modes.
+numpy byte-column histograms and the zlib/bz2/lzma/isal solvers —
+and every built-in solver is one of those.
 """
 
 from __future__ import annotations

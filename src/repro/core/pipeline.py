@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.analysis.bytefreq import byte_view, element_width, matrix_to_elements
 from repro.codecs.base import Codec, get_codec
-from repro.codecs.procpool import worker_codec_for
 from repro.core.analyzer import AnalysisResult, analyze, analyze_matrix
 from repro.core.chunking import iter_chunks
 from repro.core.exceptions import (
@@ -1034,24 +1033,21 @@ class IsobarCompressor:
     def _run_jobs(
         self,
         jobs: Iterable[Any],
-        fn: Callable[[int, Any, Codec], Any],
-        codec: Codec,
+        fn: Callable[[int, Any], Any],
         runner: PipelinedBlockRunner | None,
         *,
         retry: bool,
     ) -> Iterator[Any]:
-        """Lazily yield ``fn(seq, job, codec)`` for every job, in order:
-        the one chunk loop of every mode.  Inline without a ``runner``;
-        on it (threads start now), workers get the codec through
-        :func:`worker_codec_for` and run at most ``max_inflight`` jobs
-        ahead.  A failed block never poisons the engine: with ``retry``
-        under a resilience policy the job reruns serially with the
-        *original* codec (which degrades the chunk instead of failing);
-        otherwise, or if that fails too, the runner is cancelled
-        (queued jobs never start) and the error raised in order."""
+        """Lazily yield ``fn(seq, job)`` for every job, in order: the
+        one chunk loop of every mode.  Inline without a ``runner``; on
+        it (threads start now), workers run at most ``max_inflight``
+        jobs ahead.  A failed block never poisons the engine: with
+        ``retry`` under a resilience policy the job reruns serially
+        (which degrades the chunk instead of failing); otherwise, or if
+        that fails too, the runner is cancelled (queued jobs never
+        start) and the error raised in order."""
         if runner is None:
-            return (fn(seq, job, codec) for seq, job in enumerate(jobs))
-        worker_codec = worker_codec_for(codec, self._n_workers)
+            return (fn(seq, job) for seq, job in enumerate(jobs))
         policy = self._config.resilience
         pending: dict[int, Any] = {}
 
@@ -1060,7 +1056,7 @@ class IsobarCompressor:
                 pending[seq] = job
                 yield job
 
-        blocks = runner.run(fed(), lambda seq, job: fn(seq, job, worker_codec))
+        blocks = runner.run(fed(), fn)
 
         def settled() -> Iterator[Any]:
             assert runner is not None
@@ -1077,7 +1073,7 @@ class IsobarCompressor:
                         runner.cancel()
                         raise block.error
                     try:
-                        value = fn(block.seq, job, codec)
+                        value = fn(block.seq, job)
                     except Exception:
                         runner.cancel()
                         raise
@@ -1098,14 +1094,14 @@ class IsobarCompressor:
         the lead decision; chunk 0 reuses the lead analysis and the
         selector's winning trial."""
 
-        def encode(seq: int, chunk: np.ndarray, codec: Codec) -> EncodedBlob:
+        def encode(seq: int, chunk: np.ndarray) -> EncodedBlob:
             return self._compress_chunk(
-                seq, chunk, lead.decision, codec, tracer,
+                seq, chunk, lead.decision, lead.codec, tracer,
                 analysis=lead.analysis if seq == 0 else None,
                 trial=lead.trial if seq == 0 else None,
             )
 
-        return self._run_jobs(chunks, encode, lead.codec, runner, retry=True)
+        return self._run_jobs(chunks, encode, runner, retry=True)
 
     def _compress_chunk(
         self,
@@ -1207,8 +1203,9 @@ class IsobarCompressor:
         in chain order, through :meth:`_run_jobs` (a damaged chunk
         raises its located error in order)."""
         decoded = self._instruments.chunks_decoded
+        codec = get_codec(header.codec_name)
 
-        def decode(_seq: int, job: DecodeJob, codec: Codec) -> np.ndarray:
+        def decode(_seq: int, job: DecodeJob) -> np.ndarray:
             record, compressed, incompressible, target = job
             start = time.perf_counter()
             chunk = decode_chunk_payload(
@@ -1227,9 +1224,7 @@ class IsobarCompressor:
             None if self._inline(header.n_chunks)
             else self._runner("isobar-decompress")
         )
-        return self._run_jobs(
-            jobs, decode, get_codec(header.codec_name), runner, retry=False
-        )
+        return self._run_jobs(jobs, decode, runner, retry=False)
 
     def decompress(self, data: bytes, *, errors: str = "raise") -> np.ndarray:
         """Restore the exact original array from a container.

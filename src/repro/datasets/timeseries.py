@@ -1,8 +1,7 @@
 """Stream generators with temporal structure (drift and regime switches).
 
-The adaptive-compression experiments need inputs whose byte fingerprint
-*changes over the stream*; these generators formalise the two shapes
-used across tests and benchmarks:
+Inputs whose byte fingerprint *changes over the stream*; these
+generators formalise two shapes:
 
 * :func:`regime_switching_stream` — hard transitions between segments
   with different noise-byte counts (a variable moving between physical
@@ -13,7 +12,7 @@ used across tests and benchmarks:
   jump.
 
 Both return the concatenated stream plus the ground-truth segmentation,
-so tests can assert the adaptive compressor recovers the boundaries.
+so tests can check an analysis against the true boundaries.
 """
 
 from __future__ import annotations

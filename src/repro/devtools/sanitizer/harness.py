@@ -4,11 +4,11 @@ Two modes share one report shape:
 
 * **smoke** (``isobar sanitize --smoke``) — a fixed set of scenarios
   that exercise the concurrency-heavy subsystems directly: the
-  pipelined parallel compressor, the process-pool shared-memory path,
-  pipelined stream writers and readers (finished, abandoned and
-  aborted, which must leave no thread, file handle or temp file), and
-  a live service with the event-loop stall probe attached, plus a
-  deterministic lock-discipline scenario on instrumented locks.
+  pipelined parallel compressor, pipelined stream writers and readers
+  (finished, abandoned and aborted, which must leave no thread, file
+  handle or temp file), and a live service with the event-loop stall
+  probe attached, plus a deterministic lock-discipline scenario on
+  instrumented locks.
   ``--seed-inversion`` adds a scenario that acquires two locks in
   opposite orders from two threads — the report must then contain the
   cycle, which is how the harness proves it can see one.
@@ -58,7 +58,6 @@ __all__ = [
 #: lock object, so waiting threads and held state are unaffected.
 SUITE_LOCKS: tuple[tuple[str, str], ...] = (
     ("repro.codecs.base", "_REGISTRY_LOCK"),
-    ("repro.codecs.procpool", "_POOL_LOCK"),
     ("repro.core.selector", "_STRATEGY_LOCK"),
     ("repro.core.pipeline", "_DEPRECATION_LOCK"),
 )
@@ -246,22 +245,6 @@ def _scenario_stream_roundtrip(_graph: LockOrderGraph) -> list[dict]:
              "pending_release": ["close"]} for kind, what in left]
 
 
-def _scenario_procpool_shm(_graph: LockOrderGraph) -> None:
-    """Shared-memory transfer to a codec child, then full teardown."""
-    from repro.codecs import procpool
-    from repro.codecs.base import get_codec
-
-    codec = procpool.worker_codec_for(get_codec("rle"), 2)
-    payload = bytes(64) * ((procpool.SHM_THRESHOLD_BYTES // 64) + 16)
-    blob = codec.compress(payload)
-    if codec.decompress(blob) != payload:
-        raise SanitizerError("procpool roundtrip mismatch")
-    procpool.shutdown_codec_pool()
-    live = procpool.live_block_count()
-    if live:
-        raise SanitizerError(f"{live} shared-memory block(s) left tracked")
-
-
 def _scenario_service_roundtrip(
     _graph: LockOrderGraph, *, stall_threshold_seconds: float
 ) -> list[dict]:
@@ -312,7 +295,6 @@ def run_smoke(
     scenarios = [
         ("lock_discipline", _scenario_lock_discipline),
         ("parallel_roundtrip", _scenario_parallel_roundtrip),
-        ("procpool_shm", _scenario_procpool_shm),
         ("stream_roundtrip", _scenario_stream_roundtrip),
     ]
     if seed_inversion:
@@ -383,9 +365,6 @@ class _SuiteInstrumentation:
 
     def finish(self, report_path: str | None) -> None:
         """Collect probe results, restore patches, write the report."""
-        from repro.codecs.procpool import shutdown_codec_pool
-
-        shutdown_codec_pool()  # the pool is atexit-owned, not a leak
         for module, attr, original in reversed(self._originals):
             setattr(module, attr, original)
         self._originals.clear()

@@ -1,11 +1,5 @@
 """In-situ substrate: simulation driver and checkpoint/restart store."""
 
-from repro.insitu.aggregation import (
-    AggregateReport,
-    MultiWriterModel,
-    ParallelFileSystem,
-    RankOutcome,
-)
 from repro.insitu.checkpoint import CheckpointRecord, CheckpointStore
 from repro.insitu.staging import (
     StageTiming,
@@ -14,18 +8,12 @@ from repro.insitu.staging import (
     StorageModel,
     raw_writer,
 )
-from repro.insitu.incremental import IncrementalCheckpointer
 from repro.insitu.retention import RetentionPolicy, apply_retention
 from repro.insitu.simulation import FieldSimulation, SimulationConfig
 
 __all__ = [
-    "IncrementalCheckpointer",
     "RetentionPolicy",
     "apply_retention",
-    "AggregateReport",
-    "MultiWriterModel",
-    "ParallelFileSystem",
-    "RankOutcome",
     "StageTiming",
     "StagingReport",
     "StagingSimulator",

@@ -48,22 +48,6 @@ class TestEntropyBound:
         with pytest.raises(InvalidInputError):
             entropy_bound_bytes(matrix, np.ones(4, bool))
 
-    def test_bound_is_a_lower_bound_for_order0_coding(self,
-                                                      improvable_doubles):
-        """Huffman (order-0) cannot beat the per-column entropy bound by
-        more than its per-symbol rounding overhead."""
-        from repro.codecs.huffman import HuffmanCodec
-        from repro.core.partitioner import partition
-
-        mask = np.arange(8) >= 6
-        matrix = byte_matrix(improvable_doubles)
-        bound = entropy_bound_bytes(matrix, mask)
-        part = partition(improvable_doubles, mask, "column")
-        actual = len(HuffmanCodec().compress(part.compressible))
-        # Huffman pays up to 1 bit/symbol over entropy plus its header;
-        # it must never land below the bound.
-        assert actual >= bound * 0.99
-
 
 class TestEstimates:
     def test_structure_of_estimate(self, improvable_doubles):

@@ -77,6 +77,31 @@ def sanitizer():
 
 
 @pytest.fixture
+def gil_bound_codec():
+    """A registered codec that keeps ``releases_gil`` False.
+
+    A :class:`~repro.codecs.CallableCodec` over stdlib zlib, registered
+    as ``"gil-bound"`` for the test and unregistered afterwards.
+    """
+    import zlib
+
+    from repro.codecs.base import (
+        CallableCodec,
+        register_codec,
+        unregister_codec,
+    )
+
+    codec = register_codec(
+        CallableCodec("gil-bound", zlib.compress, zlib.decompress)
+    )
+    assert not codec.releases_gil
+    try:
+        yield codec
+    finally:
+        unregister_codec(codec.name)
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """A fresh, fixed-seed random generator per test."""
     return np.random.default_rng(12345)

@@ -216,8 +216,7 @@ class TestPipelinedEngine:
             # Content-keyed delays: identical per serial/parallel run,
             # different per chunk — the adversarial scheduler.
             name = "zlib"
-            releases_gil = False  # keep it on the thread path
-            process_safe = False
+            releases_gil = False
 
             def __init__(self, inner, seed):
                 self._inner = inner
@@ -269,58 +268,22 @@ class TestPipelinedEngine:
         with pytest.raises(ConfigurationError):
             ParallelIsobarCompressor(_CFG, n_workers=2, max_inflight=0)
 
-    def test_pure_python_codec_routes_to_process_pool(self, rng):
-        """A registered pure-python codec crosses the process boundary
-        (or degrades gracefully in-thread) and stays byte-identical to
+    def test_gil_bound_codec_on_worker_threads_matches_serial(
+        self, rng, gil_bound_codec
+    ):
+        """A GIL-bound codec on 2 worker threads is byte-identical to
         serial."""
         values = build_structured(40_000, np.float64, 6, rng)
         config = IsobarConfig(
-            codec="rle", chunk_elements=10_000, sample_elements=2048
+            codec=gil_bound_codec.name, chunk_elements=10_000,
+            sample_elements=2048,
         )
         serial = IsobarCompressor(config).compress(values)
         parallel_comp = ParallelIsobarCompressor(config, n_workers=2)
         parallel = parallel_comp.compress(values)
         assert parallel == serial
+        assert parallel_comp.last_runner_stats is not None
         assert np.array_equal(parallel_comp.decompress(parallel), values)
-
-    def test_single_chunk_pure_python_decode_starts_no_pool(
-        self, rng, monkeypatch
-    ):
-        from repro.codecs import procpool
-
-        acquired: list[int] = []
-        monkeypatch.setattr(procpool, "_acquire_pool", acquired.append)
-        values = build_structured(4_000, np.float64, 6, rng)
-        config = IsobarConfig(codec="rle", chunk_elements=10_000)
-        blob = IsobarCompressor(config).compress(values)
-        restored = ParallelIsobarCompressor(config, n_workers=2).decompress(
-            blob
-        )
-        assert np.array_equal(restored, values)
-        assert acquired == []
-
-    def test_worker_codec_selection(self):
-        from repro.codecs.base import get_codec
-        from repro.codecs.procpool import ProcessCodecProxy, worker_codec_for
-
-        zlib_codec = get_codec("zlib")
-        rle = get_codec("rle")
-        # GIL-releasing codecs stay in-thread; registered pure-python
-        # codecs get the process proxy; single-worker runs never proxy.
-        assert worker_codec_for(zlib_codec, 4) is zlib_codec
-        assert isinstance(worker_codec_for(rle, 2), ProcessCodecProxy)
-        assert worker_codec_for(rle, 1) is rle
-
-    def test_chaos_wrapper_never_routed_to_process_pool(self):
-        from repro.codecs.procpool import worker_codec_for
-        from repro.testing.chaos import FlakyCodec, chaos_codec
-
-        flaky = FlakyCodec("zlib", fail_percent=50.0)
-        with chaos_codec(flaky):
-            # The wrapper shadows "zlib" in the registry but is not
-            # process-safe: it must stay on the thread path so fault
-            # injection behaves identically to the serial pipeline.
-            assert worker_codec_for(flaky, 4) is flaky
 
     def test_parallel_engine_metrics_exported(self, multichunk):
         from repro.observability import to_prometheus_text

@@ -28,19 +28,6 @@ class TestRegimeSwitching:
             result = analyze(piece)
             assert result.n_incompressible == segment.noise_bytes
 
-    def test_adaptive_compressor_recovers_boundaries(self, rng):
-        from repro.core.adaptive import AdaptiveIsobarCompressor
-        from repro.core.preferences import IsobarConfig
-
-        stream, truth = regime_switching_stream(30_000, (6, 2, 6), rng)
-        result = AdaptiveIsobarCompressor(
-            IsobarConfig(chunk_elements=30_000, sample_elements=2048)
-        ).compress_detailed(stream)
-        measured = [(s.element_start, s.element_stop)
-                    for s in result.segments]
-        expected = [(s.start, s.stop) for s in truth]
-        assert measured == expected
-
     def test_float32_streams(self, rng):
         stream, segments = regime_switching_stream(
             20_000, (2, 1), rng, dtype=np.float32

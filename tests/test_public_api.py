@@ -153,20 +153,17 @@ class TestFacadeWorkers:
         "n_elements", [4_000, 20_000], ids=["one-chunk", "four-chunks"]
     )
     def test_pure_python_codec_runs_inline(
-        self, monkeypatch, runners, n_elements
+        self, monkeypatch, runners, n_elements, gil_bound_codec
     ):
-        from repro.codecs import procpool
-
         monkeypatch.setattr(repro.api, "usable_cpus", lambda: 2)
-        acquired: list[int] = []
-        monkeypatch.setattr(procpool, "_acquire_pool", acquired.append)
+        name = gil_bound_codec.name
         values = generate_dataset("num_brain", n_elements=n_elements, seed=3)
-        blob = repro.compress(values, codec="rle", config=self.CONFIG)
+        blob = repro.compress(values, codec=name, config=self.CONFIG)
         assert blob == IsobarCompressor(
-            self.CONFIG.replace(codec="rle")
+            self.CONFIG.replace(codec=name)
         ).compress(values)
         assert np.array_equal(repro.decompress(blob), values)
-        assert acquired == [] and runners == []
+        assert runners == []
 
 
 class TestDeprecatedAliases:
