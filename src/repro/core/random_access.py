@@ -237,6 +237,10 @@ class ContainerFile:
     ):
         registry = NULL_REGISTRY if metrics is None else metrics
         self._instruments = PipelineInstruments(registry)
+        # Arguments are checked before a handle is opened, so a bad
+        # one cannot leak it.
+        self._errors = normalize_errors(errors)
+        self._cache = _ChunkCache(cache_chunks)
         if isinstance(source, (bytes, bytearray, memoryview)):
             self._file: BinaryIO = io.BytesIO(source)
             self._owned = True
@@ -250,14 +254,12 @@ class ContainerFile:
         self._fallback_reason: str | None = None
         try:
             self._header, self._index = self._open_index()
+            self._codec: Codec = get_codec(self._header.codec_name)
         except BaseException:
             if self._owned:
                 self._file.close()
             raise
-        self._codec: Codec = get_codec(self._header.codec_name)
-        self._errors = normalize_errors(errors)
         self._starts = [entry.element_start for entry in self._index]
-        self._cache = _ChunkCache(cache_chunks)
 
     def _open_index(self) -> tuple[ContainerHeader, list[ChunkIndexEntry]]:
         prefix = self._pread(0, _HEADER_PROBE)

@@ -16,12 +16,23 @@ record always carries measured numbers.
 
 Each distinct trial input is built once per decision: an improvable
 sample is partitioned once per linearization and every codec
-compresses that partition; an undetermined sample passes to the solver
-whole, so one compression per codec stands for both linearizations
-(their rows carry the same measurement).  When the sample is the whole
-input, the winning trial's solver input and output ride on the
-decision (:class:`WinningTrial`) so the encoder can reuse them as
-chunk 0's compressed stream instead of solving the same bytes again.
+compresses that partition.  Linearizations whose inputs are
+byte-identical (an undetermined sample, which passes to the solver
+whole, or a partition with one compressible column) share one
+compression per codec, and their rows carry the same measurement.
+
+Under the RATIO preference a probe whose sample is the whole input is
+staged: a frozen estimator (:mod:`repro.core.probe_estimator`)
+predicts every candidate's solver output, the trials run in order of
+prediction, and a candidate whose prediction, scaled by an exact
+trial and lowered by the estimator's measured error bound, cannot
+beat that trial by more than the 0.5% regret budget is not trialled
+(its estimate goes on the decision's ``predictions``).
+
+When the sample is the whole input, the winning trial's solver input
+and output ride on the decision (:class:`WinningTrial`) so the encoder
+can reuse them as chunk 0's compressed stream instead of solving the
+same bytes again.
 
 Sampling note: the paper samples "random elements"; we sample a few
 random *contiguous runs* totalling the same element count, because
@@ -44,6 +55,7 @@ from repro.core.analyzer import AnalysisResult, analyze
 from repro.core.exceptions import ConfigurationError, SelectorError
 from repro.core.partitioner import partition
 from repro.core.preferences import IsobarConfig, Linearization, Preference
+from repro.core.probe_estimator import error_bound, estimate_outputs
 from repro.observability.instruments import PipelineInstruments
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
 
@@ -61,6 +73,10 @@ __all__ = [
 ]
 
 _SAMPLE_RUNS = 8
+
+#: The staged probe's regret budget: the chosen candidate may be at
+#: most this fraction larger than a candidate the probe skipped.
+REGRET_BUDGET = 0.005
 
 
 def _describe(exc: BaseException) -> str:
@@ -101,12 +117,15 @@ class CandidateFailure:
 
 @dataclass(frozen=True)
 class CandidatePrediction:
-    """A regressor's estimate for one (codec, linearization) candidate.
+    """An estimate for one (codec, linearization) candidate.
 
     Emitted by the learned selector
     (:mod:`repro.core.selector_learned`) when it decides without
     timing; ``confident`` marks whether the estimate cleared the
-    strategy's uncertainty rule.
+    strategy's uncertainty rule.  The staged EUPA probe emits one for
+    each candidate its size estimate ruled out: ``predicted_ratio``
+    is the sample ratio that estimate implies, ``confident`` is true
+    and ``predicted_throughput`` is 0.0 (no time is estimated).
     """
 
     codec_name: str
@@ -150,8 +169,8 @@ class SelectorDecision:
     #: evaluations), ``"predicted"`` (regressor, no timing) or
     #: ``"cached"`` (replayed from a :class:`SelectorDecisionCache`).
     origin: str = "probe"
-    #: Regressor estimates backing a predicted decision (empty for
-    #: probed decisions).
+    #: Regressor estimates backing a predicted decision; on a probed
+    #: decision, the estimates that ruled candidates out of the trials.
     predictions: tuple[CandidatePrediction, ...] = ()
     #: The winning trial, kept only when the sample was the whole
     #: input.  Not part of equality, ``repr``, ``to_dict`` or pickles.
@@ -351,74 +370,140 @@ class EupaSelector:
         sample: np.ndarray,
         analysis: AnalysisResult,
         keep: bool,
+        staged: bool,
     ) -> tuple[
         list[CandidateEvaluation],
         list[CandidateFailure],
+        list[CandidatePrediction],
         dict[tuple[str, Linearization], tuple[Codec, bytes, bytes, float]],
     ]:
-        """Time every candidate, building each distinct input once.
+        """Run the candidates' exact trials, building each distinct input once.
 
-        Returns the evaluations and the failures, each in candidate-space
-        order, and, when ``keep`` is set, each successful candidate's
-        codec, solver input, output and codec seconds.  Candidates that
-        share an input or an output share the object, not a copy.
+        Linearizations whose solver inputs are byte-identical share one
+        compression per codec.  When ``staged`` (and the estimator
+        applies) the trials run in order of estimated output, and a
+        candidate is skipped when some exact trial rules it out: the
+        candidate's estimate, scaled by that trial's measured output
+        over its estimate and lowered by the pair's error bound, plus
+        the raw noise bytes, is still no smaller than the trial's size
+        over one plus the regret budget.  Otherwise every candidate
+        runs, as if the bounds were infinite.
+
+        Returns the evaluations, the failures and the estimates that
+        ruled candidates out, each in candidate-space order, and, when
+        ``keep`` is set, each successful candidate's codec, solver
+        input, output and codec seconds.  Candidates that share an
+        input or an output share the object, not a copy.
         """
         rank = {candidate: i for i, candidate in enumerate(space)}
         codecs = tuple(dict.fromkeys(c for c, _ in space))
-        linearizations = tuple(dict.fromkeys(l for _, l in space))
-        # An undetermined sample is solved whole: one input stands for
-        # every linearization.
-        groups = (
-            [(lin,) for lin in linearizations]
-            if analysis.improvable
-            else [linearizations]
-        )
         evaluated: list[CandidateEvaluation] = []
         failed: list[CandidateFailure] = []
+        skipped: list[CandidatePrediction] = []
         outputs: dict[
             tuple[str, Linearization], tuple[Codec, bytes, bytes, float]
         ] = {}
-        for lins in groups:
+        # (linearizations, solver input, raw noise bytes, build seconds)
+        groups: list[tuple[tuple[Linearization, ...], bytes, int, float]] = []
+        for lin in dict.fromkeys(l for _, l in space):
             start = time.perf_counter()
             try:
-                payload, noise_bytes = self._trial_input(
-                    sample, analysis, lins[0]
-                )
+                payload, noise_bytes = self._trial_input(sample, analysis, lin)
             except Exception as exc:  # noqa: BLE001 - candidate containment
                 failed.extend(
                     CandidateFailure(codec_name, lin, _describe(exc))
                     for codec_name in codecs
-                    for lin in lins
                 )
                 continue
             build_seconds = time.perf_counter() - start
-            for codec_name in codecs:
-                try:
-                    codec = get_codec(codec_name)
-                    start = time.perf_counter()
-                    compressed = codec.compress(payload)
-                    solve_seconds = time.perf_counter() - start
-                except Exception as exc:  # noqa: BLE001 - candidate containment
-                    failed.extend(
-                        CandidateFailure(codec_name, lin, _describe(exc))
-                        for lin in lins
-                    )
-                    continue
-                for lin in lins:
-                    evaluated.append(CandidateEvaluation(
+            for i, (lins, other, other_noise, seconds) in enumerate(groups):
+                if other_noise == noise_bytes and other == payload:
+                    groups[i] = (lins + (lin,), other, other_noise, seconds)
+                    break
+            else:
+                groups.append(((lin,), payload, noise_bytes, build_seconds))
+        trials = [
+            (codec_name, group) for group in groups for codec_name in codecs
+        ]
+        estimates = (
+            estimate_outputs(sample, analysis, space) if staged else None
+        )
+        if estimates is not None:
+            trials.sort(key=lambda t: estimates[t[0], t[1][0][0]])
+        exact: list[tuple[tuple[str, Linearization], int]] = []
+        for codec_name, (lins, payload, noise_bytes, build_seconds) in trials:
+            candidate = (codec_name, lins[0])
+            estimate = (
+                self._ruled_out(candidate, noise_bytes, estimates, exact)
+                if estimates is not None
+                else None
+            )
+            if estimate is not None:
+                skipped.extend(
+                    CandidatePrediction(
                         codec_name=codec_name,
                         linearization=lin,
-                        sample_bytes=sample.nbytes,
-                        compressed_bytes=max(len(compressed) + noise_bytes, 1),
-                        compress_seconds=build_seconds + solve_seconds,
-                    ))
-                    if keep:
-                        outputs[codec_name, lin] = (
-                            codec, payload, compressed, solve_seconds,
-                        )
+                        predicted_ratio=sample.nbytes / estimate,
+                        predicted_throughput=0.0,
+                        confident=True,
+                    )
+                    for lin in lins
+                )
+                continue
+            try:
+                codec = get_codec(codec_name)
+                start = time.perf_counter()
+                compressed = codec.compress(payload)
+                solve_seconds = time.perf_counter() - start
+            except Exception as exc:  # noqa: BLE001 - candidate containment
+                failed.extend(
+                    CandidateFailure(codec_name, lin, _describe(exc))
+                    for lin in lins
+                )
+                continue
+            size = max(len(compressed) + noise_bytes, 1)
+            exact.append((candidate, size))
+            for lin in lins:
+                evaluated.append(CandidateEvaluation(
+                    codec_name=codec_name,
+                    linearization=lin,
+                    sample_bytes=sample.nbytes,
+                    compressed_bytes=size,
+                    compress_seconds=build_seconds + solve_seconds,
+                ))
+                if keep:
+                    outputs[codec_name, lin] = (
+                        codec, payload, compressed, solve_seconds,
+                    )
         evaluated.sort(key=lambda c: rank[c.codec_name, c.linearization])
         failed.sort(key=lambda f: rank[f.codec_name, f.linearization])
-        return evaluated, failed, outputs
+        skipped.sort(key=lambda p: rank[p.codec_name, p.linearization])
+        return evaluated, failed, skipped, outputs
+
+    @staticmethod
+    def _ruled_out(
+        candidate: tuple[str, Linearization],
+        noise_bytes: int,
+        estimates: dict[tuple[str, Linearization], float],
+        exact: list[tuple[tuple[str, Linearization], int]],
+    ) -> float | None:
+        """The scaled size estimate of a candidate an exact trial rules out.
+
+        ``None`` while no successful trial rules the candidate out.
+        Uses sizes only, so the decision is a function of the input
+        bytes and the config.
+        """
+        for trialled, size in exact:
+            scaled = (
+                estimates[candidate] * (size - noise_bytes)
+                / estimates[trialled]
+            )
+            floor = noise_bytes + scaled * (
+                1.0 - error_bound(candidate, trialled)
+            )
+            if floor >= size / (1.0 + REGRET_BUDGET):
+                return noise_bytes + scaled
+        return None
 
     # -- decision ---------------------------------------------------------
 
@@ -427,24 +512,54 @@ class EupaSelector:
         values: np.ndarray,
         analysis: AnalysisResult | None = None,
     ) -> SelectorDecision:
-        """Evaluate all candidates on a sample and pick the winner.
+        """Trial the candidates on a sample and pick the winner.
 
         ``analysis`` is the analyzer verdict for the *full* input (or a
         representative chunk); when omitted it is computed from the
         sample itself.  The decision applies to the whole stream —
         Section II-F shows a single choice stays optimal across an
         entire simulation run.
+
+        Under the RATIO preference the probe is staged: candidates the
+        frozen size estimator rules out are not trialled (see
+        :mod:`repro.core.probe_estimator`).  The SPEED preference
+        needs every candidate's time, so it trials them all.
         """
+        return self._select(
+            values, analysis, self._config.preference is Preference.RATIO
+        )
+
+    def select_exhaustive(
+        self,
+        values: np.ndarray,
+        analysis: AnalysisResult | None = None,
+    ) -> SelectorDecision:
+        """Trial every candidate exactly, whatever the preference.
+
+        The oracle the staged probe is measured against, and the probe
+        a learner uses to observe every candidate.
+        """
+        return self._select(values, analysis, False)
+
+    def _select(
+        self,
+        values: np.ndarray,
+        analysis: AnalysisResult | None,
+        staged: bool,
+    ) -> SelectorDecision:
         decide_start = time.perf_counter()
         sample = self.draw_sample(values)
         if analysis is None:
             analysis = analyze(sample, tau=self._config.tau)
 
         # Only a sample that is the whole input can stand in for a
-        # chunk's solve, so only then are the trial outputs kept.
+        # chunk's solve, so only then are the trial outputs kept.  It
+        # is also the only sample the probe is staged on: the estimator
+        # was scored on whole inputs, and a sample of a larger input
+        # has its probe cost spread over many chunks.
         keep = sample.size == np.asarray(values).size
-        evaluated, failed, outputs = self._run_trials(
-            self._candidate_space(), sample, analysis, keep
+        evaluated, failed, skipped, outputs = self._run_trials(
+            self._candidate_space(), sample, analysis, keep, staged and keep
         )
         # A misbehaving candidate must not abort selection: it is
         # skipped, recorded on the decision, and counted.
@@ -473,6 +588,7 @@ class EupaSelector:
             candidates=candidates,
             sample_elements=int(sample.size),
             failed_candidates=tuple(failed),
+            predictions=tuple(skipped),
             trial=WinningTrial(*kept) if kept is not None else None,
         )
         if self._metrics.enabled:

@@ -443,7 +443,7 @@ class LearnedSelector:
         predictions: tuple[CandidatePrediction, ...],
         started: float,
     ) -> SelectorDecision:
-        decision = self._probe.select(values, analysis=analysis)
+        decision = self._probe.select_exhaustive(values, analysis=analysis)
         if features is not None:
             x = np.asarray(features.vector(), dtype=np.float64)
             for cand in decision.candidates:

@@ -16,11 +16,6 @@ from repro.datasets.registry import (
     get_dataset,
     improvable_dataset_names,
 )
-from repro.datasets.timeseries import (
-    StreamSegment,
-    drifting_noise_stream,
-    regime_switching_stream,
-)
 from repro.datasets.synthetic import (
     NOISE_KINDS,
     autocorrelated_indices,
@@ -32,9 +27,6 @@ from repro.datasets.synthetic import (
 )
 
 __all__ = [
-    "StreamSegment",
-    "drifting_noise_stream",
-    "regime_switching_stream",
     "load_raw",
     "raw_file_info",
     "save_raw",

@@ -135,3 +135,57 @@ class TestIntegrity:
         with pytest.raises(TruncatedContainerError) as excinfo:
             ContainerReader(payload[:keep])
         assert "byte offset" in str(excinfo.value)
+
+
+class TestOwnedHandleOnFailedOpen:
+    """A path-opened handle is closed when the constructor raises."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        from repro.core import random_access
+
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            handles.append(handle)
+            return handle
+
+        monkeypatch.setattr(random_access, "open", recording_open,
+                            raising=False)
+        return handles
+
+    def test_unknown_codec_closes_handle(self, stored, tmp_path, opened):
+        import dataclasses
+
+        from repro.core.exceptions import UnknownCodecError
+        from repro.core.metadata import ContainerHeader
+
+        payload, _ = stored
+        header, offset = ContainerHeader.decode(payload)
+        path = tmp_path / "unknown.isobar"
+        path.write_bytes(
+            dataclasses.replace(header, codec_name="no-such-codec").encode()
+            + payload[offset:]
+        )
+        with pytest.raises(UnknownCodecError):
+            ContainerReader(path)
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_bad_errors_policy_closes_handle(self, stored, tmp_path, opened):
+        from repro.core.exceptions import ConfigurationError
+
+        path = tmp_path / "ok.isobar"
+        path.write_bytes(stored[0])
+        with pytest.raises(ConfigurationError):
+            ContainerReader(path, errors="ignore")
+        assert all(handle.closed for handle in opened)
+
+    def test_negative_cache_closes_handle(self, stored, tmp_path, opened):
+        from repro.core.exceptions import ConfigurationError
+
+        path = tmp_path / "ok.isobar"
+        path.write_bytes(stored[0])
+        with pytest.raises(ConfigurationError):
+            ContainerReader(path, cache_chunks=-1)
+        assert all(handle.closed for handle in opened)
