@@ -5,11 +5,13 @@ Round-trips ``--n`` seeded random containers through random fault
 injection (:mod:`repro.testing.faults`), then exercises every reader on
 the wreckage — strict decode, both lenient salvage policies, the
 random-access ``ContainerFile`` under ``raise`` and ``salvage-skip``,
-and the ``fsck`` checker — asserting the containment contract: **no
-exception other than** :class:`repro.core.exceptions.IsobarError`
-**may escape** (fsck may not raise at all), and
-whatever skip-mode salvage recovers must be bit-exact chunks of the
-original data.
+``stream_decompress`` over a temp file under ``salvage-skip`` and
+``salvage-zero``, and the ``fsck`` checker — asserting the containment
+contract: **no exception other than**
+:class:`repro.core.exceptions.IsobarError` **may escape** (fsck may
+not raise at all), whatever skip-mode salvage recovers must be
+bit-exact chunks of the original data, and a lenient stream must yield
+exactly what ``salvage_decompress`` returns for the same bytes.
 
 Usage::
 
@@ -23,7 +25,9 @@ backs the ``fuzz``-marked pytest tests (``pytest -m fuzz``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -33,10 +37,22 @@ from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig
 from repro.core.random_access import ContainerFile
 from repro.core.salvage import salvage_decompress
+from repro.core.stream import stream_decompress
 from repro.datasets.synthetic import build_structured
 from repro.testing.faults import FAULT_TYPES, inject
 
 _DTYPES = (np.float64, np.float32)
+
+
+
+def _stream(data: bytes, errors: str) -> np.ndarray:
+    """``stream_decompress`` over a temp file holding ``data``."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "damaged.isobar")
+        with open(path, "wb") as sink:
+            sink.write(data)
+        chunks = list(stream_decompress(path, errors=errors))
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 #: Every reader driven over the damaged bytes, by name.
@@ -46,8 +62,13 @@ _READERS = (
     ("zero_fill", lambda d: salvage_decompress(d, policy="zero_fill").values),
     ("file", lambda d: ContainerFile(d).read_all()),
     ("file_skip", lambda d: ContainerFile(d, errors="salvage-skip").read_all()),
+    ("stream_skip", lambda d: _stream(d, "salvage-skip")),
+    ("stream_zero", lambda d: _stream(d, "salvage-zero")),
     ("fsck", fsck),
 )
+
+#: Each lenient stream reader and the salvage reader it must agree with.
+_STREAM_TWINS = {"stream_skip": "skip", "stream_zero": "zero_fill"}
 
 
 def _build_case(rng: np.random.Generator) -> tuple[bytes, np.ndarray, int]:
@@ -64,6 +85,14 @@ def _build_case(rng: np.random.Generator) -> tuple[bytes, np.ndarray, int]:
     config = IsobarConfig(chunk_elements=chunk_elements,
                           sample_elements=min(chunk_elements, 1024))
     return IsobarCompressor(config).compress(values), values, chunk_elements
+
+
+def _same(streamed: object, salvaged: object) -> bool:
+    """True when a stream returned the salvage reader's elements, or
+    both raised the same error."""
+    if isinstance(streamed, np.ndarray) and isinstance(salvaged, np.ndarray):
+        return streamed.tobytes() == salvaged.tobytes()
+    return streamed is salvaged
 
 
 def run_case(case_seed: int) -> list[str]:
@@ -84,10 +113,13 @@ def run_case(case_seed: int) -> list[str]:
         except IsobarError:
             continue  # e.g. truncate-to-0 then re-inject: fine to refuse
 
+        # What each reader returned, or the IsobarError class it raised.
+        outputs: dict[str, object] = {}
         for reader_name, reader in _READERS:
             try:
                 result = reader(injected.data)
-            except IsobarError:
+            except IsobarError as exc:
+                outputs[reader_name] = type(exc)
                 # A contained failure keeps the contract, except that
                 # fsck must report damage rather than raise.
                 if reader_name == "fsck":
@@ -102,6 +134,7 @@ def run_case(case_seed: int) -> list[str]:
                     f"escaped containment: {exc} ({injected.description})"
                 )
                 continue
+            outputs[reader_name] = result
             # stale_footer legitimately *appends* a copy of an existing
             # chunk, shifting every later boundary — re-slicing the
             # restored stream at chunk_elements no longer lines up with
@@ -125,6 +158,14 @@ def run_case(case_seed: int) -> list[str]:
                         f"{tag}: skip-mode fabricated the tail chunk "
                         f"({injected.description})"
                     )
+        for stream_name, twin in _STREAM_TWINS.items():
+            if stream_name in outputs and twin in outputs and not _same(
+                outputs[stream_name], outputs[twin]
+            ):
+                failures.append(
+                    f"{tag} reader={stream_name}: stream output differs "
+                    f"from salvage_decompress ({injected.description})"
+                )
     return failures
 
 

@@ -50,7 +50,7 @@ from repro.core.metadata import (
     ContainerHeader,
     locate_footer,
 )
-from repro.core.pipeline import decode_chunk_payload
+from repro.core.salvage import decode_scan_events, scan_chunks
 
 __all__ = ["FsckIssue", "FsckReport", "OrphanReport", "fsck"]
 
@@ -199,8 +199,9 @@ def _walk_chain(data: bytes, *, to_eof: bool = False) -> tuple[
     int,
     list[FsckIssue],
 ]:
-    """Walk the chunk chain via the salvage scanner, decoding every
-    chunk's payload (so its CRC is checked).
+    """Walk the chunk chain with the salvage scanner and its lenient
+    decode loop, so every chunk's payload is decoded and its CRC
+    checked.
 
     Returns ``(header, chain, chain_end, issues)`` where ``chain_end``
     is the offset just past the last readable chunk; a ``None`` header
@@ -212,8 +213,6 @@ def _walk_chain(data: bytes, *, to_eof: bool = False) -> tuple[
     tear is treated as the torn tail, so finalization never stitches
     damage into a published container).
     """
-    from repro.core.salvage import scan_chunks
-
     issues: list[FsckIssue] = []
     try:
         header, offset = ContainerHeader.decode(data)
@@ -233,9 +232,12 @@ def _walk_chain(data: bytes, *, to_eof: bool = False) -> tuple[
 
     chain: list[ChunkIndexRecord] = []
     chain_end = offset
-    events = scan_chunks(data, header, offset, codec, to_eof=to_eof)
-    for ordinal, event in enumerate(events):
-        if event.kind == "gap":
+    events = list(scan_chunks(data, header, offset, codec, to_eof=to_eof))
+    outcomes = decode_scan_events(data, header, codec, events, "skip")
+    for event, (outcome, _) in zip(events, outcomes):
+        assert outcome is not None  # "skip" pads nothing
+        record = event.record
+        if record is None:
             issues.append(
                 FsckIssue(
                     "chain", event.start, event.end,
@@ -246,26 +248,17 @@ def _walk_chain(data: bytes, *, to_eof: bool = False) -> tuple[
             if to_eof:
                 break
             continue
-        meta = event.meta
-        compressed_end = event.payload_offset + meta.compressed_size
-        try:
-            decode_chunk_payload(
-                header, codec, meta,
-                data[event.payload_offset:compressed_end],
-                data[compressed_end:event.end],
-                chunk_index=ordinal, byte_offset=event.start,
-            )
-        except IsobarError as exc:
+        if outcome.status == "corrupt":
             issues.append(
-                FsckIssue("payload", event.start, event.end, str(exc),
-                          repairable=False)
+                FsckIssue("payload", event.start, event.end,
+                          outcome.cause or "", repairable=False)
             )
         chain.append(
             ChunkIndexRecord(
-                payload_offset=event.payload_offset,
-                compressed_size=meta.compressed_size,
-                incompressible_size=meta.incompressible_size,
-                n_elements=meta.n_elements,
+                payload_offset=record.payload_offset,
+                compressed_size=record.meta.compressed_size,
+                incompressible_size=record.meta.incompressible_size,
+                n_elements=record.meta.n_elements,
             )
         )
         chain_end = event.end

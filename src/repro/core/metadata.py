@@ -12,6 +12,10 @@ Two records make up an ISOBAR container's bookkeeping (Figure 7):
 Both serialize to compact little-endian structs with explicit magics
 and validate on decode, raising :class:`ContainerFormatError` on any
 inconsistency rather than fabricating data.
+
+Every reader, strict or lenient, over container bytes or a seekable
+file, walks the chain with :func:`iter_chunk_records` and finds the
+trailing :class:`ContainerFooter` with :func:`locate_footer`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import enum
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import BinaryIO, Iterator
 
 import numpy as np
@@ -67,6 +71,8 @@ _FOOTER_HEAD_STRUCT = struct.Struct("<HI")
 _FOOTER_TAIL_STRUCT = struct.Struct("<II")
 #: Bytes of trailer + end magic that follow the CRC-covered body.
 _FOOTER_TAIL_NBYTES = _FOOTER_TAIL_STRUCT.size + 4
+#: Bytes :func:`locate_footer` first reads from the end of a file.
+_TAIL_PROBE = 4096
 
 _LINEARIZATION_CODES = {Linearization.ROW: 0, Linearization.COLUMN: 1}
 _LINEARIZATION_FROM_CODE = {v: k for k, v in _LINEARIZATION_CODES.items()}
@@ -333,28 +339,56 @@ class ChunkRecord:
         """Offset one past the chunk's last payload byte."""
         return self.compressed_end + self.meta.incompressible_size
 
+    def payloads(self, source: bytes | BinaryIO) -> tuple[bytes, bytes]:
+        """The chunk's solver stream and noise bytes, sliced from
+        container bytes or read from a seekable binary file."""
+        if _in_memory(source):
+            return (
+                source[self.payload_offset:self.compressed_end],
+                source[self.compressed_end:self.end],
+            )
+        source.seek(self.payload_offset)
+        return (
+            source.read(self.meta.compressed_size),
+            source.read(self.meta.incompressible_size),
+        )
+
+
+def _in_memory(source: bytes | BinaryIO) -> bool:
+    return isinstance(source, (bytes, bytearray, memoryview))
+
 
 def iter_chunk_records(
-    source: bytes | BinaryIO, header: ContainerHeader, offset: int
+    source: bytes | BinaryIO,
+    header: ContainerHeader,
+    offset: int,
+    n_chunks: int | None = None,
+    chain_end: int | None = None,
 ) -> Iterator[ChunkRecord]:
-    """Walk the ``header.n_chunks`` chunk records starting at ``offset``.
+    """Walk chunk records starting at ``offset``, lazily, over container
+    bytes or a seekable binary file (read one record at a time, so the
+    caller may read payloads from it between records).  A payload that
+    runs past the chain end raises :class:`TruncatedContainerError`
+    naming the chunk (counted from ``offset``) and its record offset.
 
-    The strict chain walk every reader shares, over container bytes or
-    a seekable binary file (read one record at a time, so the caller
-    may read payloads from it between records): each record is parsed
-    lazily, and a payload that runs past the end of the container
-    raises :class:`TruncatedContainerError` naming the chunk and its
-    record offset.  (The salvage scanner resynchronizes over damage
-    instead; see :mod:`repro.core.salvage`.)
+    Strict readers pass no ``chain_end``: the walk yields exactly
+    ``n_chunks`` (default ``header.n_chunks``) records of a chain that
+    ends with the source.
+    The salvage scanner passes ``chain_end`` (a validated footer's
+    start): the walk then stops on reaching it, or after ``n_chunks``
+    records when given, and is restarted past damage (see
+    :mod:`repro.core.salvage`).
     """
     width = header.element_width
-    in_memory = (bytes, bytearray, memoryview)
-    size = (
-        len(source) if isinstance(source, in_memory)
-        else source.seek(0, os.SEEK_END)
-    )
-    for index in range(header.n_chunks):
-        if isinstance(source, in_memory):
+    in_memory = _in_memory(source)
+    size = len(source) if in_memory else source.seek(0, os.SEEK_END)
+    lenient = chain_end is not None
+    if not lenient:
+        chain_end = size
+        n_chunks = header.n_chunks if n_chunks is None else n_chunks
+    index = 0
+    while index != n_chunks and not (lenient and offset >= chain_end):
+        if in_memory:
             meta, payload_offset = ChunkMetadata.decode(source, offset, width)
         else:
             source.seek(offset)
@@ -362,14 +396,15 @@ def iter_chunk_records(
             meta, consumed = ChunkMetadata.decode(window, 0, width)
             payload_offset = offset + consumed
         record = ChunkRecord(index, offset, meta, payload_offset)
-        if record.end > size:
+        if record.end > chain_end:
             raise TruncatedContainerError(
                 f"chunk {index} at byte offset {offset}: container "
                 f"truncated inside chunk payload (payload ends at byte "
-                f"{record.end}, stream holds {size})"
+                f"{record.end}, chain ends at byte {chain_end})"
             )
         yield record
         offset = record.end
+        index += 1
 
 
 def chunk_record_nbytes(element_width: int) -> int:
@@ -507,15 +542,41 @@ class FooterLocation:
         return self.status == "ok"
 
 
-def locate_footer(data: bytes) -> FooterLocation:
+def locate_footer(source: bytes | BinaryIO) -> FooterLocation:
     """Discover and validate an index footer by seeking from EOF.
 
-    Accepts the container's trailing bytes (at minimum the last
-    ``footer_len`` bytes; typically callers pass the whole stream or a
-    tail slice ending at EOF).  Never raises on damage — every failure
-    mode maps to a :class:`FooterLocation` status so callers can fall
-    back to the structural scan.
+    ``source`` is the container's bytes (or a slice of them ending at
+    EOF; ``start`` is then relative to the slice) or a seekable binary
+    file, read from its tail only: one ``_TAIL_PROBE``-byte read covers
+    footers of up to ~127 chunks, and a longer one costs exactly one
+    more.  Never raises on damage — every failure mode maps to a
+    :class:`FooterLocation` status so callers can fall back to the
+    structural scan.
     """
+    if _in_memory(source):
+        return _parse_footer(source)
+    size = source.seek(0, os.SEEK_END)
+    probe_len = min(size, _TAIL_PROBE)
+    source.seek(size - probe_len)
+    tail = source.read(probe_len)
+    location = _parse_footer(tail)
+    if location.status == "truncated" and probe_len < size:
+        # The trailer declares a footer longer than the probe — not
+        # necessarily damage.  Re-read exactly footer_len bytes and
+        # classify again; a genuinely impossible length stays
+        # "truncated".
+        (footer_len,) = struct.unpack_from("<I", tail, len(tail) - 8)
+        if footer_len <= size:
+            source.seek(size - footer_len)
+            tail = source.read(footer_len)
+            location = _parse_footer(tail)
+    if location.start < 0:
+        return location
+    return replace(location, start=location.start + size - len(tail))
+
+
+def _parse_footer(data: bytes) -> FooterLocation:
+    """Classify the footer at the end of ``data`` (see :func:`locate_footer`)."""
     min_len = 4 + _FOOTER_HEAD_STRUCT.size + _FOOTER_TAIL_NBYTES
     if len(data) < min_len:
         return FooterLocation("absent", detail="stream shorter than any footer")

@@ -1269,9 +1269,7 @@ class IsobarCompressor:
                 # (into a scratch array), so a damaged chunk is reported
                 # before the element-count mismatch after the walk.
                 yield (
-                    record,
-                    data[record.payload_offset:record.compressed_end],
-                    data[record.compressed_end:record.end],
+                    record, *record.payloads(data),
                     flat[cursor:end] if end <= flat.size else None,
                 )
                 cursor = end

@@ -30,7 +30,6 @@ import bisect
 import io
 import math
 import os
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -62,10 +61,6 @@ __all__ = ["ChunkIndexEntry", "ContainerFile", "ContainerReader"]
 #: Bytes read from the start of a file to parse the global header
 #: (generous: headers are well under 1 KiB).
 _HEADER_PROBE = 4096
-#: Bytes read from EOF to find the footer.  Covers footers of up to
-#: ~127 chunks in one read; longer footers declare their length in the
-#: trailer and trigger exactly one larger re-read.
-_TAIL_PROBE = 4096
 
 
 @dataclass(frozen=True)
@@ -264,26 +259,11 @@ class ContainerFile:
     def _open_index(self) -> tuple[ContainerHeader, list[ChunkIndexEntry]]:
         prefix = self._pread(0, _HEADER_PROBE)
         header, header_end = ContainerHeader.decode(prefix)
-        self._file.seek(0, os.SEEK_END)
-        file_size = self._file.tell()
-
-        probe_len = min(file_size, _TAIL_PROBE)
-        tail = self._pread(file_size - probe_len, probe_len)
-        location = locate_footer(tail)
-        if location.status == "truncated" and probe_len < file_size:
-            # The trailer declares a footer longer than the probe — not
-            # necessarily damage.  Re-read exactly footer_len bytes and
-            # classify again; a genuinely impossible length stays
-            # "truncated".
-            (footer_len,) = struct.unpack_from("<I", tail, len(tail) - 8)
-            if footer_len <= file_size:
-                tail = self._pread(file_size - footer_len, footer_len)
-                location = locate_footer(tail)
+        location = locate_footer(self._file)
         if location.ok:
             assert location.footer is not None
-            footer_start = file_size - (len(tail) - location.start)
             index = _footer_index(
-                location.footer, header, header_end, footer_start
+                location.footer, header, header_end, location.start
             )
             if index is not None:
                 return header, index

@@ -6,13 +6,19 @@ payload extents and a CRC32 of its raw bytes.  The strict decoders
 deliberately abort on the first damaged byte — but for archival
 recovery that throws away every *healthy* chunk behind the damage.
 
-This module is the lenient counterpart:
+This module is the lenient counterpart, over container bytes or a
+seekable file (read one record, payload or search window at a time):
 
-* :func:`scan_chunks` walks the chunk chain structurally and, when a
-  record is unreadable, **resynchronizes** by scanning forward for the
-  next plausible ``CHNK`` magic (validating candidates against their
-  own CRC so a stray ``CHNK`` inside compressed payload is rejected);
-* :func:`salvage_decompress` decodes everything recoverable under a
+* :func:`scan_chunks` walks the chunk chain with the one chain walk,
+  :func:`~repro.core.metadata.iter_chunk_records`, and, when a record
+  is unreadable, **resynchronizes** by scanning forward for the next
+  plausible ``CHNK`` magic (vetting each candidate by walking its one
+  record and decoding it, so a stray ``CHNK`` inside compressed payload
+  is rejected) and restarts the walk there;
+* :func:`decode_scan_events` is the one lenient decode loop: it decodes
+  the scanned regions and yields the output pieces and each region's
+  :class:`ChunkOutcome`;
+* :func:`salvage_decompress` concatenates those pieces under a
   per-chunk error policy — ``"raise"`` (strict), ``"skip"`` (drop lost
   chunks) or ``"zero_fill"`` (substitute zero elements so surviving
   data keeps its absolute position);
@@ -20,18 +26,20 @@ This module is the lenient counterpart:
   the absolute byte range and the root cause, so operators know exactly
   what was lost and why.
 
-The same scanner drives :func:`repro.core.fsck.fsck` (which reports
-*all* findings instead of stopping at the first), and
-:func:`decode_scan_events` — the lenient per-chunk decode loop — is
-shared with the salvage and crash recovery paths of
-:func:`repro.core.stream.stream_decompress`.
+The scanner and the loop also drive :func:`repro.core.fsck.fsck` (which
+reports *all* findings instead of stopping at the first) and the
+lenient and crash recovery paths of
+:func:`repro.core.stream.stream_decompress`, which yield from an open
+file exactly the pieces :func:`salvage_decompress` concatenates.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import time as _time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -40,12 +48,14 @@ from repro.core.exceptions import (
     ConfigurationError,
     ContainerFormatError,
     IsobarError,
-    TruncatedContainerError,
 )
 from repro.core.metadata import (
     _CHUNK_MAGIC,
     ChunkMetadata,
+    ChunkRecord,
     ContainerHeader,
+    _in_memory,
+    iter_chunk_records,
     locate_footer,
 )
 from repro.core.pipeline import decode_chunk_payload
@@ -71,6 +81,8 @@ SALVAGE_POLICIES = ("raise", "skip", "zero_fill")
 #: for the first structurally-plausible one (bounds worst-case cost on
 #: payloads that happen to contain many magic byte strings).
 _RESYNC_CANDIDATE_LIMIT = 64
+#: Bytes a resync reads at a time while searching a file for a magic.
+_RESYNC_WINDOW = 1 << 16
 
 
 def _check_policy(policy: str) -> str:
@@ -100,43 +112,56 @@ class ScanEvent:
     kind: str  # "chunk" | "gap"
     start: int  # absolute byte offset of the record / damaged region
     end: int  # absolute byte offset one past the region
-    meta: ChunkMetadata | None = None
-    payload_offset: int | None = None
+    record: ChunkRecord | None = None  # the chunk's record (chunks only)
     cause: str | None = None
     resynced: bool = False  # found by magic scan after damage
 
+    @property
+    def meta(self) -> ChunkMetadata | None:
+        """The chunk's metadata record (``None`` for a gap)."""
+        return None if self.record is None else self.record.meta
+
+
+def _find_magic(source: bytes | BinaryIO, pos: int) -> int:
+    """Offset of the first ``CHNK`` magic at or after ``pos`` (-1: none),
+    searching a file one window at a time."""
+    if _in_memory(source):
+        return source.find(_CHUNK_MAGIC, pos)
+    while True:
+        source.seek(pos)
+        window = source.read(_RESYNC_WINDOW)
+        hit = window.find(_CHUNK_MAGIC)
+        if hit != -1:
+            return pos + hit
+        if len(window) < _RESYNC_WINDOW:
+            return -1
+        # Overlap the windows so a magic split across them is found.
+        pos += len(window) - len(_CHUNK_MAGIC) + 1
+
 
 def _probe_candidate(
-    data: bytes,
+    source: bytes | BinaryIO,
     pos: int,
     header: ContainerHeader,
     codec: Codec | None,
 ) -> tuple[bool, bool]:
-    """Judge a resync candidate: ``(structurally_ok, crc_validated)``."""
+    """Judge a resync candidate by walking its one record and decoding
+    it: ``(structurally_ok, crc_validated)``."""
     try:
-        meta, payload_offset = ChunkMetadata.decode(
-            data, pos, header.element_width
-        )
+        record = next(iter_chunk_records(source, header, pos, n_chunks=1))
     except IsobarError:
-        return False, False
-    payload_end = payload_offset + meta.compressed_size + meta.incompressible_size
-    if payload_end > len(data):
         return False, False
     # A fabricated record (stray "CHNK" bytes inside a payload) can
     # still park absurd-but-in-bounds field values; sanity-bound the
     # element count against the header's own geometry.
     limit = max(header.chunk_elements, header.n_elements, 1)
-    if not 0 < meta.n_elements <= limit:
+    if not 0 < record.meta.n_elements <= limit:
         return False, False
     if codec is None:
         return True, False
     try:
         decode_chunk_payload(
-            header,
-            codec,
-            meta,
-            data[payload_offset:payload_offset + meta.compressed_size],
-            data[payload_offset + meta.compressed_size:payload_end],
+            header, codec, record.meta, *record.payloads(source)
         )
     except IsobarError:
         return True, False
@@ -144,7 +169,7 @@ def _probe_candidate(
 
 
 def _resync(
-    data: bytes,
+    source: bytes | BinaryIO,
     start: int,
     header: ContainerHeader,
     codec: Codec | None,
@@ -158,21 +183,23 @@ def _resync(
     stream is lost.
     """
     fallback: int | None = None
-    inspected = 0
-    pos = data.find(_CHUNK_MAGIC, start)
-    while pos != -1 and inspected < _RESYNC_CANDIDATE_LIMIT:
-        structurally_ok, validated = _probe_candidate(data, pos, header, codec)
+    pos = _find_magic(source, start)
+    for _ in range(_RESYNC_CANDIDATE_LIMIT):
+        if pos == -1:
+            break
+        structurally_ok, validated = _probe_candidate(
+            source, pos, header, codec
+        )
         if validated:
             return pos
         if structurally_ok and fallback is None:
             fallback = pos
-        inspected += 1
-        pos = data.find(_CHUNK_MAGIC, pos + 1)
+        pos = _find_magic(source, pos + 1)
     return fallback
 
 
 def scan_chunks(
-    data: bytes,
+    source: bytes | BinaryIO,
     header: ContainerHeader,
     offset: int,
     codec: Codec | None = None,
@@ -182,68 +209,56 @@ def scan_chunks(
     """Structurally walk the chunk chain, resynchronizing over damage.
 
     Yields one :class:`ScanEvent` per chunk record or damaged gap, in
-    byte order.  Payloads are *not* decoded (except internally, to
-    vet resync candidates); callers decide what to do with each region.
+    byte order, over container bytes or a seekable binary file (read
+    one record, search window or resync candidate at a time).  The
+    walk is :func:`~repro.core.metadata.iter_chunk_records`, restarted
+    at the resync candidate after each unreadable region.  Payloads are
+    *not* decoded (except internally, to vet resync candidates);
+    callers decide what to do with each region.
 
     ``to_eof=True`` ignores the header's declared chunk count and scans
-    until the end of ``data`` — the recovery mode for streams whose
+    until the end of the chain — the recovery mode for streams whose
     final header patch never happened (crashed writer).
 
     A validated chunk-index footer at EOF delimits the scan: the walk
     (and any final damage gap) stops at the footer boundary instead of
     misreading the index as a destroyed chunk region.
     """
-    n_expected = None if to_eof else header.n_chunks
-    chain_end = len(data)
-    location = locate_footer(data)
+    location = locate_footer(source)
     if location.ok:
         chain_end = location.start
-    found = 0
+    elif _in_memory(source):
+        chain_end = len(source)
+    else:
+        chain_end = source.seek(0, os.SEEK_END)
+    remaining = None if to_eof else header.n_chunks
     resynced = False
-    while offset < chain_end and (n_expected is None or found < n_expected):
+    while offset < chain_end and remaining != 0:
         try:
-            meta, payload_offset = ChunkMetadata.decode(
-                data, offset, header.element_width
-            )
-            payload_end = (
-                payload_offset + meta.compressed_size + meta.incompressible_size
-            )
-            if payload_end > chain_end:
-                raise TruncatedContainerError(
-                    "container truncated inside chunk payload"
+            for record in iter_chunk_records(
+                source, header, offset, remaining, chain_end
+            ):
+                yield ScanEvent(
+                    "chunk", record.offset, record.end, record,
+                    resynced=resynced,
                 )
+                resynced = False
+                offset = record.end
+                if remaining is not None:
+                    remaining -= 1
         except IsobarError as exc:
-            candidate = _resync(data, offset + 1, header, codec)
+            candidate = _resync(source, offset + 1, header, codec)
             if candidate is None or candidate >= chain_end:
                 yield ScanEvent(
-                    kind="gap",
-                    start=offset,
-                    end=chain_end,
-                    cause=str(exc),
+                    "gap", offset, chain_end, cause=str(exc),
                     resynced=resynced,
                 )
                 return
             yield ScanEvent(
-                kind="gap",
-                start=offset,
-                end=candidate,
-                cause=str(exc),
-                resynced=resynced,
+                "gap", offset, candidate, cause=str(exc), resynced=resynced
             )
             offset = candidate
             resynced = True
-            continue
-        yield ScanEvent(
-            kind="chunk",
-            start=offset,
-            end=payload_end,
-            meta=meta,
-            payload_offset=payload_offset,
-            resynced=resynced,
-        )
-        resynced = False
-        found += 1
-        offset = payload_end
 
 
 @dataclass(frozen=True)
@@ -360,94 +375,80 @@ def _estimate_gaps(
     of the declared element count is not covered by parseable records
     is distributed across the gaps (evenly, remainder to the first).
     """
-    known = sum(e.meta.n_elements for e in events if e.kind == "chunk")
-    gap_positions = [i for i, e in enumerate(events) if e.kind == "gap"]
-    estimates: dict[int, tuple[int, int]] = {}
-    if not gap_positions:
-        return estimates
+    known = sum(e.meta.n_elements for e in events if e.meta is not None)
+    gap_positions = [i for i, e in enumerate(events) if e.meta is None]
     deficit = max(int(header.n_elements) - int(known), 0)
-    base, remainder = divmod(deficit, len(gap_positions))
+    base, remainder = divmod(deficit, max(len(gap_positions), 1))
+    estimates: dict[int, tuple[int, int]] = {}
     for rank, position in enumerate(gap_positions):
         n_elements = base + (remainder if rank == 0 else 0)
-        if header.chunk_elements > 0 and n_elements > 0:
-            n_chunks = max(
-                1, round(n_elements / header.chunk_elements)
-            )
-        else:
-            n_chunks = 1
+        n_chunks = 1
+        if header.chunk_elements > 0:
+            n_chunks = max(1, round(n_elements / header.chunk_elements))
         estimates[position] = (n_elements, n_chunks)
     return estimates
 
 
 def decode_scan_events(
-    data: bytes,
+    source: bytes | BinaryIO,
     header: ContainerHeader,
     codec: Codec,
     events: list[ScanEvent],
     policy: str,
-) -> Iterator[tuple[ChunkOutcome, np.ndarray | None]]:
-    """Decode scanned regions leniently: one ``(outcome, chunk)`` per event.
+) -> Iterator[tuple[ChunkOutcome | None, np.ndarray | None]]:
+    """The one lenient decode loop: one ``(outcome, piece)`` per event.
 
-    The per-event loop shared by :func:`salvage_decompress` and the
-    salvage paths of :func:`repro.core.stream.stream_decompress`.
-    ``chunk`` is ``None`` for a lost gap or a corrupt chunk, whose
-    outcome carries the cause; under ``policy="raise"`` the first
-    damaged region raises instead, located by chunk and byte offset.
+    Payloads are read from ``source`` (bytes or a seekable file) one
+    event at a time.  The pieces, concatenated, are the salvaged
+    elements: each recovered chunk and, under ``"zero_fill"``, zeros
+    for each lost or corrupt region (``None`` under ``"skip"``), then
+    a ``(None, zeros)`` pad up to ``header.n_elements``.  Under
+    ``"raise"`` the first damaged region raises, located by chunk and
+    byte offset.
     """
     gap_estimates = _estimate_gaps(events, header)
+    zero_fill = policy == "zero_fill"
     ordinal = 0
+    covered = 0
     for position, event in enumerate(events):
-        if event.kind == "gap":
+        chunk: np.ndarray | None = None
+        if event.record is None:
             if policy == "raise":
                 raise ContainerFormatError(
                     f"chunk {ordinal} at byte offset {event.start}: "
                     f"unreadable chunk record: {event.cause}"
                 )
             n_elements, n_chunks = gap_estimates[position]
-            yield ChunkOutcome(
-                index=ordinal,
-                status="lost",
-                start=event.start,
-                end=event.end,
-                n_elements=n_elements,
-                n_chunks=n_chunks,
-                estimated=True,
-                cause=event.cause,
-            ), None
-            ordinal += n_chunks
-            continue
-        meta = event.meta
-        compressed_end = event.payload_offset + meta.compressed_size
-        try:
-            chunk = decode_chunk_payload(
-                header,
-                codec,
-                meta,
-                data[event.payload_offset:compressed_end],
-                data[compressed_end:event.end],
-                chunk_index=ordinal,
-                byte_offset=event.start,
+            outcome = ChunkOutcome(
+                ordinal, "lost", event.start, event.end, n_elements,
+                n_chunks, estimated=True, cause=event.cause,
             )
-        except IsobarError as exc:
-            if policy == "raise":
-                raise
-            yield ChunkOutcome(
-                index=ordinal,
-                status="corrupt",
-                start=event.start,
-                end=event.end,
-                n_elements=int(meta.n_elements),
-                cause=str(exc),
-            ), None
         else:
-            yield ChunkOutcome(
-                index=ordinal,
-                status="recovered",
-                start=event.start,
-                end=event.end,
-                n_elements=int(meta.n_elements),
-            ), chunk
-        ordinal += 1
+            n_elements, n_chunks = int(event.record.meta.n_elements), 1
+            try:
+                chunk = decode_chunk_payload(
+                    header, codec, event.record.meta,
+                    *event.record.payloads(source),
+                    chunk_index=ordinal, byte_offset=event.start,
+                )
+            except IsobarError as exc:
+                if policy == "raise":
+                    raise
+                outcome = ChunkOutcome(
+                    ordinal, "corrupt", event.start, event.end, n_elements,
+                    cause=str(exc),
+                )
+            else:
+                outcome = ChunkOutcome(
+                    ordinal, "recovered", event.start, event.end, n_elements
+                )
+        if chunk is None and zero_fill:
+            chunk = np.zeros(n_elements, dtype=header.dtype)
+        yield outcome, chunk
+        ordinal += n_chunks
+        covered += n_elements
+    if zero_fill and covered < header.n_elements:
+        yield None, np.zeros(header.n_elements - covered, dtype=header.dtype)
 
 
 def salvage_decompress(
@@ -512,10 +513,25 @@ def salvage_decompress(
     decode_start = _time.perf_counter()
     pieces = list(decode_scan_events(data, header, codec, events, policy))
     tracer.add("decode", _time.perf_counter() - decode_start)
-    report.outcomes = [outcome for outcome, _ in pieces]
+    report.outcomes = [outcome for outcome, _ in pieces if outcome is not None]
 
     merge_start = _time.perf_counter()
-    values = _assemble(pieces, header, policy, to_eof=to_eof)
+    chunks = [chunk for _, chunk in pieces if chunk is not None]
+    values = (
+        np.concatenate(chunks) if chunks else np.empty(0)
+    ).astype(header.dtype, copy=False)
+    # Zero fill keeps every element in place, so the header's shape
+    # applies whenever it covers the output; a skip-decoded array only
+    # takes it when nothing was lost from a fully declared container.
+    if (
+        header.shape
+        and math.prod(header.shape) == values.size
+        and (policy == "zero_fill" or (
+            report.complete and not to_eof
+            and values.size == header.n_elements
+        ))
+    ):
+        values = values.reshape(header.shape)
     tracer.add(
         "merge", _time.perf_counter() - merge_start, bytes_out=values.nbytes
     )
@@ -536,53 +552,3 @@ def salvage_decompress(
         instruments.input_bytes.inc(len(data), operation="salvage")
         instruments.output_bytes.inc(values.nbytes, operation="salvage")
     return SalvageResult(values=values, report=report)
-
-
-def _assemble(
-    pieces: list[tuple[ChunkOutcome, np.ndarray | None]],
-    header: ContainerHeader,
-    policy: str,
-    *,
-    to_eof: bool,
-) -> np.ndarray:
-    """Combine recovered chunks into the output array per policy."""
-    recovered = [chunk for _, chunk in pieces if chunk is not None]
-    damage_free = all(chunk is not None for _, chunk in pieces)
-
-    if policy != "zero_fill":
-        if recovered:
-            flat = np.concatenate(recovered).astype(header.dtype, copy=False)
-        else:
-            flat = np.empty(0, dtype=header.dtype)
-        # Only a fully intact, fully declared container can be restored
-        # to its original shape; a skip-decoded partial array stays flat.
-        if (
-            damage_free
-            and not to_eof
-            and flat.size == header.n_elements
-            and header.shape
-            and int(np.prod(header.shape, dtype=np.int64)) == header.n_elements
-        ):
-            return flat.reshape(header.shape)
-        return flat
-
-    # zero_fill: allocate the full declared extent (or, for unclosed
-    # streams with a zeroed placeholder header, the scanned extent) and
-    # place every recovered chunk at its absolute element offset.
-    total = sum(outcome.n_elements for outcome, _ in pieces)
-    size = max(int(header.n_elements), int(total))
-    out = np.zeros(size, dtype=header.dtype)
-    cursor = 0
-    for outcome, chunk in pieces:
-        if chunk is not None and cursor < size:
-            stop = min(cursor + chunk.size, size)
-            out[cursor:stop] = np.asarray(chunk, dtype=header.dtype)[
-                : stop - cursor
-            ]
-        cursor += outcome.n_elements
-    if (
-        header.shape
-        and int(np.prod(header.shape, dtype=np.int64)) == size
-    ):
-        return out.reshape(header.shape)
-    return out

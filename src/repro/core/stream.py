@@ -55,6 +55,7 @@ from repro.core.pipeline import (
 from repro.core.pipeline_engine import PipelinedBlockRunner, RunnerStats
 from repro.core.preferences import IsobarConfig, salvage_policy_for
 from repro.core.resilience import DegradationReport
+from repro.core.salvage import decode_scan_events, scan_chunks
 from repro.observability.registry import MetricsRegistry
 from repro.observability.report import PipelineReport
 
@@ -453,37 +454,6 @@ def stream_compress(
     return writer.bytes_written
 
 
-def _stream_salvage(
-    path: str | os.PathLike,
-    errors: str,
-    *,
-    to_eof: bool,
-) -> Iterator[np.ndarray]:
-    """Lenient / crash-recovery read path: salvage's scan and per-chunk
-    decode loop.  Loads the file into memory (recovery is not a hot
-    path)."""
-    from repro.core.salvage import decode_scan_events, scan_chunks
-
-    with open(path, "rb") as source:
-        data = source.read()
-    header, offset = ContainerHeader.decode(data)
-    codec = get_codec(header.codec_name)
-    events = list(scan_chunks(data, header, offset, codec, to_eof=to_eof))
-    if to_eof and events and events[-1].kind == "gap" \
-            and events[-1].end == len(data):
-        # A gap that runs to EOF on an unclosed stream is the crashed
-        # writer's unfinished final chunk — tolerating it is the whole
-        # point; anything else honours the policy.
-        events.pop()
-    for outcome, chunk in decode_scan_events(
-        data, header, codec, events, errors
-    ):
-        if chunk is not None:
-            yield chunk
-        elif outcome.status == "corrupt" and errors == "zero_fill":
-            yield np.zeros(outcome.n_elements, dtype=header.dtype)
-
-
 def stream_decompress(
     path: str | os.PathLike,
     *,
@@ -511,8 +481,10 @@ def stream_decompress(
         ``"salvage-skip"`` drops damaged chunks; ``"salvage-zero"``
         substitutes zero-element chunks of the declared length (legacy
         spellings ``"skip"`` / ``"zero_fill"`` keep working).  The
-        lenient modes read the whole file into memory to allow
-        resynchronization, and decode serially.
+        lenient modes yield exactly what ``repro.decompress(data,
+        errors=...)`` returns for the file's bytes, flattened (zero
+        fill included), reading one record, payload or resync window
+        at a time and decoding serially.
     tolerate_unclosed:
         Recover a stream whose final header patch never happened (the
         writer crashed before ``close()``): when the header still
@@ -526,8 +498,8 @@ def stream_decompress(
         consumed.
     """
     max_inflight = _max_inflight(readahead_chunks)
-    # Canonical policy vocabulary shared by every decoder; _stream_salvage
-    # speaks the salvage decoder's internal names.
+    # Canonical policy vocabulary shared by every decoder; the salvage
+    # loop speaks the salvage decoder's internal names.
     salvage_policy = salvage_policy_for(errors)
     with open(path, "rb") as source:
         prefix = source.read(1 << 16)
@@ -557,14 +529,26 @@ def stream_decompress(
 
             def jobs() -> Iterator[DecodeJob]:
                 for record in iter_chunk_records(source, header, offset):
-                    source.seek(record.payload_offset)
-                    meta = record.meta
-                    compressed = source.read(meta.compressed_size)
-                    incompressible = source.read(meta.incompressible_size)
-                    yield record, compressed, incompressible, None
+                    yield record, *record.payloads(source), None
 
             yield from engine._decode_records(
                 header, jobs(), engine._tracer()
             )
             return
-    yield from _stream_salvage(path, salvage_policy, to_eof=unclosed)
+        # Lenient and crash-recovery reads: salvage's scan and lenient
+        # decode loop over the open file, one record or payload at a time.
+        codec = get_codec(header.codec_name)
+        events = list(
+            scan_chunks(source, header, offset, codec, to_eof=unclosed)
+        )
+        if unclosed and events and events[-1].kind == "gap" \
+                and events[-1].end == file_size:
+            # A gap that runs to EOF on an unclosed stream is the crashed
+            # writer's unfinished final chunk — tolerating it is the
+            # whole point; anything else honours the policy.
+            events.pop()
+        for _, piece in decode_scan_events(
+            source, header, codec, events, salvage_policy
+        ):
+            if piece is not None and piece.size:
+                yield piece

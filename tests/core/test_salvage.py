@@ -1,5 +1,7 @@
 """Tests for the corruption-tolerant salvage decoder."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,12 @@ from repro.core.exceptions import (
 from repro.core.metadata import ChunkMetadata, ContainerHeader
 from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig
-from repro.core.salvage import salvage_decompress, scan_chunks
+from repro.core.salvage import (
+    _RESYNC_WINDOW,
+    _find_magic,
+    salvage_decompress,
+    scan_chunks,
+)
 from repro.datasets.synthetic import build_structured
 
 _CFG = IsobarConfig(chunk_elements=20_000, sample_elements=2048)
@@ -214,6 +221,35 @@ class TestScanChunks:
         assert events[1].start == starts[1]
         assert events[1].end == starts[2]
         assert events[2].resynced
+
+    def test_file_scan_matches_bytes_scan(self, payload_and_values):
+        """Over a file the scan reads one record or search window at a
+        time and finds the same regions."""
+        from repro.codecs.base import get_codec
+
+        payload, _ = payload_and_values
+        header, offset = ContainerHeader.decode(payload)
+        starts, _ = _chunk_starts(payload)
+        corrupted = bytearray(payload)
+        corrupted[starts[1]:starts[1] + 4] = b"XXXX"
+        codec = get_codec(header.codec_name)
+
+        def regions(source):
+            return [
+                (e.kind, e.start, e.end, e.resynced)
+                for e in scan_chunks(source, header, offset, codec)
+            ]
+
+        assert starts[2] - starts[1] > _RESYNC_WINDOW  # spans windows
+        assert regions(io.BytesIO(bytes(corrupted))) == \
+            regions(bytes(corrupted))
+
+    @pytest.mark.parametrize("shift", [-4, -3, -2, -1, 0])
+    def test_magic_found_across_file_windows(self, shift):
+        position = _RESYNC_WINDOW + shift
+        data = bytes(position) + b"CHNK" + bytes(10)
+        assert _find_magic(io.BytesIO(data), 0) == position
+        assert _find_magic(io.BytesIO(data), position + 1) == -1
 
     def test_report_summary_lines(self, payload_and_values):
         payload, _ = payload_and_values

@@ -1,5 +1,7 @@
 """Unit tests for streaming file-to-file compression."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,33 @@ class TestLenientStreaming:
         )
         assert zeroed.size == data.size
         assert np.all(zeroed[30_000:] == 0)
+
+    def test_lenient_read_memory_matches_strict_read(self, tmp_path):
+        """A lenient stream read holds one chunk at a time, as the
+        strict one does: it never loads the whole file."""
+        n_chunks, chunk_elements = 16, 100_000
+        values = np.cumsum(
+            np.random.default_rng(0).standard_normal(n_chunks * chunk_elements)
+        )
+        path = tmp_path / "walk.isobar"
+        stream_compress(
+            _chunks(values, chunk_elements), path, np.float64,
+            config=IsobarConfig(chunk_elements=chunk_elements),
+        )
+        # Reading the whole file would cost many chunks' worth.
+        assert path.stat().st_size > 8 * values.nbytes / n_chunks
+
+        def peak(errors: str) -> int:
+            tracemalloc.start()
+            try:
+                for _ in stream_decompress(path, errors=errors):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        strict = peak("raise")
+        assert peak("salvage-skip") <= 1.5 * strict
 
 
 class TestStreamingResilience:
