@@ -380,21 +380,36 @@ def _repair_footer(
     report.issues = [i for i in report.issues if i.kind != "footer"]
 
 
-def _examine_orphan(orphan_path: str, final_exists: bool) -> OrphanReport:
-    """Inspect one abandoned temp file without modifying it."""
+@dataclass(frozen=True)
+class _OrphanWalk:
+    """A temp file's bytes and its chain walk, shared by the examination
+    and the finalization of one orphan."""
+
+    data: bytes
+    header: ContainerHeader
+    chain: list[ChunkIndexRecord]
+    chain_end: int
+
+
+def _examine_orphan(
+    orphan_path: str, final_exists: bool
+) -> tuple[OrphanReport, _OrphanWalk | None]:
+    """Inspect one abandoned temp file without modifying it; the walk
+    is returned for :func:`_finalize_orphan` (None when unreadable)."""
     with open(orphan_path, "rb") as source:
         data = source.read()
     if not data:
         return OrphanReport(
             orphan_path, 0, 0, 0, finalized=False,
             detail="empty temp file, nothing recoverable",
-        )
+        ), None
     header, chain, chain_end, _ = _walk_chain(data, to_eof=True)
     if header is None:
         return OrphanReport(
             orphan_path, 0, 0, 0, finalized=False,
             detail="unreadable header, cannot finalize",
-        )
+        ), None
+    walk = _OrphanWalk(data, header, chain, chain_end)
     if final_exists:
         return OrphanReport(
             orphan_path,
@@ -402,17 +417,20 @@ def _examine_orphan(orphan_path: str, final_exists: bool) -> OrphanReport:
             len(data) - chain_end, finalized=False,
             detail="destination already exists; not overwriting "
             "(remove the temp file manually if it is stale)",
-        )
+        ), walk
     return OrphanReport(
         orphan_path,
         len(chain), sum(e.n_elements for e in chain),
         len(data) - chain_end, finalized=False,
         detail="crashed writer temp file (finalizable)",
-    )
+    ), walk
 
 
 def _finalize_orphan(
-    report: FsckReport, orphan: OrphanReport, final_path: str
+    report: FsckReport,
+    orphan: OrphanReport,
+    walk: _OrphanWalk,
+    final_path: str,
 ) -> OrphanReport:
     """Complete a crashed writer's temp file and publish it atomically.
 
@@ -420,12 +438,12 @@ def _finalize_orphan(
     forward scan (the writer's own ``close()`` patch, done late), the
     partial final chunk is dropped, and the index footer appended —
     producing exactly the container ``close()`` would have written for
-    the chunks that made it to disk.
+    the chunks that made it to disk.  ``walk`` is the examination's
+    walk of the same file, so the file is read and decoded once.
     """
-    with open(orphan.path, "rb") as source:
-        data = source.read()
-    header, chain, chain_end, _ = _walk_chain(data, to_eof=True)
-    assert header is not None
+    data, header, chain, chain_end = (
+        walk.data, walk.header, walk.chain, walk.chain_end
+    )
     # A crashed writer's header still declares zero chunks — the scan,
     # not the header, holds the true counts.
     from dataclasses import replace
@@ -539,7 +557,7 @@ def fsck(
         report.exists = False
 
     for orphan_path in orphan_paths:
-        orphan = _examine_orphan(orphan_path, final_exists=exists)
+        orphan, walk = _examine_orphan(orphan_path, final_exists=exists)
         if repair:
             if orphan.detail.startswith("empty temp file"):
                 os.unlink(orphan.path)
@@ -550,8 +568,10 @@ def fsck(
                     orphan.path, 0, 0, 0, finalized=True,
                     detail="empty temp file removed",
                 )
-            elif not exists and orphan.detail.endswith("(finalizable)"):
-                orphan = _finalize_orphan(report, orphan, final_path)
+            elif walk is not None and not exists and orphan.detail.endswith(
+                "(finalizable)"
+            ):
+                orphan = _finalize_orphan(report, orphan, walk, final_path)
                 if orphan.finalized:
                     # Only the first orphan wins the rename; the report
                     # now describes the freshly published container.

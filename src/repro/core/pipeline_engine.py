@@ -28,6 +28,12 @@ Worker exceptions never kill the engine: each failed block surfaces as
 a :class:`BlockResult` carrying the original exception, in order, so
 the consumer decides per block whether to retry, degrade or abort.
 
+A block function may split its own work further with
+:func:`share_blocks`: on a runner worker, the runner's idle workers
+claim parts of it (ahead of queued jobs) while the calling worker
+runs every part nobody has claimed.  No thread is added, so at most
+``n_workers`` threads ever compute.
+
 With a bound :class:`~repro.observability.instruments.PipelineInstruments`
 the engine exports per-worker wait-time counters and feed-queue /
 in-flight gauges (see ``docs/observability.md``); without one the hot
@@ -37,9 +43,9 @@ path records nothing.
 from __future__ import annotations
 
 import os
-import queue as _queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -48,6 +54,7 @@ from typing import (
     Generic,
     Iterable,
     Protocol,
+    Sequence,
     TypeVar,
     cast,
 )
@@ -59,16 +66,19 @@ __all__ = [
     "PipelinedBlockRunner",
     "RunnerStats",
     "default_max_inflight",
+    "share_blocks",
     "usable_cpus",
 ]
 
 JobT = TypeVar("JobT")
 ResultT = TypeVar("ResultT")
+ItemT = TypeVar("ItemT")
+PartT = TypeVar("PartT")
 
-#: Poison pill telling a worker to exit; compared by identity.
-_SENTINEL: Any = object()
 #: Slot marker for a job discarded after cancel() (never yielded).
 _CANCELLED: Any = object()
+#: The board of the runner whose job this thread is running, if any.
+_running = threading.local()
 
 
 def default_max_inflight(n_workers: int) -> int:
@@ -163,6 +173,101 @@ class _OrderedSlots:
         """Whether :meth:`get_next` would return without blocking."""
         with self._cond:
             return self._next in self._slots
+
+
+class _SharedWork:
+    """One :func:`share_blocks` call: items handed out in order."""
+
+    def __init__(self, fn: Callable[[Any], Any], items: Sequence[Any]):
+        self.fn = fn
+        self.items = items
+        self.results: list[Any] = [None] * len(items)
+        self.errors: dict[int, BaseException] = {}
+        self.claimed = 0
+        self.running = 0
+
+
+class _Board:
+    """A runner's work, under one condition: queued jobs, and the
+    :class:`_SharedWork` of running jobs that still has unclaimed
+    items.  Idle workers take shared items first (they finish a chunk
+    already in flight), then jobs."""
+
+    def __init__(self) -> None:
+        self.cond = threading.Condition()
+        self.jobs: deque[tuple[int, Any]] = deque()
+        self.shared: deque[_SharedWork] = deque()
+        #: Jobs being worked (a worker stays while one may share).
+        self.busy = 0
+        #: The feeder is done: workers leave once nothing is left.
+        self.fed = False
+        #: The consumer is gone: workers leave once idle.
+        self.closed = False
+
+    def claim(self, work: _SharedWork) -> int | None:
+        """The next unclaimed item of ``work`` (``cond`` held), else None;
+        a failed item stops the hand-out."""
+        if work.claimed == len(work.items) or work.errors:
+            if work in self.shared:
+                self.shared.remove(work)
+            return None
+        index = work.claimed
+        work.claimed += 1
+        work.running += 1
+        if work.claimed == len(work.items):
+            self.shared.remove(work)
+        return index
+
+    def run(self, work: _SharedWork, index: int) -> None:
+        """Run one claimed item and record its outcome."""
+        error: BaseException | None = None
+        try:
+            work.results[index] = work.fn(work.items[index])
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the owner
+            error = exc
+        with self.cond:
+            if error is not None:
+                work.errors[index] = error
+            work.running -= 1
+            self.cond.notify_all()
+
+    def share(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
+        """Run ``fn`` over ``items`` with the help of idle workers."""
+        work = _SharedWork(fn, items)
+        with self.cond:
+            self.shared.append(work)
+            self.cond.notify_all()
+        while True:
+            with self.cond:
+                index = self.claim(work)
+            if index is None:
+                break
+            self.run(work, index)
+        with self.cond:
+            while work.running:
+                self.cond.wait()
+        if work.errors:
+            raise work.errors[min(work.errors)]
+        return work.results
+
+
+def share_blocks(
+    fn: Callable[[ItemT], PartT], items: Sequence[ItemT]
+) -> list[PartT]:
+    """``[fn(item) for item in items]``, with idle engine workers' help.
+
+    Called from a job running on a :class:`PipelinedBlockRunner`
+    worker, the items are offered to that runner's idle workers; the
+    calling worker runs every item nobody has claimed, then waits for
+    the claimed ones.  Anywhere else (an inline engine, the caller's
+    own thread, a deadline helper thread, an item being shared) the
+    items run serially on the calling thread.  Results keep the items'
+    order; the first failed item's exception is raised.
+    """
+    board: _Board | None = getattr(_running, "board", None)
+    if board is None or len(items) < 2:
+        return [fn(item) for item in items]
+    return board.share(fn, items)
 
 
 class PipelinedBlockRunner(Generic[JobT, ResultT]):
@@ -272,10 +377,10 @@ class PipelinedBlockRunner(Generic[JobT, ResultT]):
 
     # -- internals --------------------------------------------------------
 
-    def _record_depth(self, feed: "_queue.Queue[Any]") -> None:
+    def _record_depth(self, board: _Board) -> None:
         if self._instruments is not None:
             self._instruments.parallel_queue_depth.set(
-                feed.qsize(), queue="feed"
+                len(board.jobs), queue="feed"
             )
 
     def _record_inflight(self, inflight: int) -> None:
@@ -289,7 +394,8 @@ class PipelinedBlockRunner(Generic[JobT, ResultT]):
         jobs: Iterable[JobT],
         fn: Callable[[int, JobT], ResultT],
     ) -> Generator[BlockResult[ResultT] | None, None, None]:
-        feed: "_queue.Queue[Any]" = _queue.Queue(maxsize=self._max_inflight)
+        board = _Board()
+        cond = board.cond
         slots = self._slots = _OrderedSlots()
         sem = threading.Semaphore(self._max_inflight)
         stop = self._stop
@@ -309,24 +415,46 @@ class PipelinedBlockRunner(Generic[JobT, ResultT]):
                             break
                     if stop.is_set():
                         break
-                    feed.put((seq, job))
+                    with cond:
+                        board.jobs.append((seq, job))
+                        cond.notify()
                     with stats_lock:
                         stats.fed_blocks += 1
                         self._record_inflight(
                             stats.fed_blocks - stats.consumed_blocks
                         )
-                    self._record_depth(feed)
+                    self._record_depth(board)
                     seq += 1
             except BaseException as exc:  # noqa: BLE001 - relayed in order
                 end_item = ("producer_error", exc)
             slots.put(seq, end_item)
-            for _ in range(self._n_workers):
-                feed.put(_SENTINEL)
+            with cond:
+                board.fed = True
+                cond.notify_all()
+
+        def _next_task() -> tuple[Any, Any] | None:
+            """Wait for a shared item ``(work, index)``, else a job
+            ``(seq, job)`` (``cond`` held); None when the worker should
+            exit."""
+            while True:
+                if board.shared:
+                    work = board.shared[0]
+                    index = board.claim(work)
+                    if index is not None:
+                        return work, index
+                elif board.jobs and not board.closed:
+                    board.busy += 1
+                    return board.jobs.popleft()
+                elif board.closed or (board.fed and not board.busy):
+                    return None
+                else:
+                    cond.wait()
 
         def _work(worker_index: int) -> None:
             while True:
                 wait_start = time.perf_counter()
-                item = feed.get()
+                with cond:
+                    task = _next_task()
                 waited = time.perf_counter() - wait_start
                 with stats_lock:
                     stats.worker_wait_seconds[worker_index] += waited
@@ -334,22 +462,33 @@ class PipelinedBlockRunner(Generic[JobT, ResultT]):
                     self._instruments.parallel_worker_wait_seconds.inc(
                         waited, worker=str(worker_index)
                     )
-                self._record_depth(feed)
-                if item is _SENTINEL:
+                if task is None:
                     return
-                seq, job = item
-                if stop.is_set():
-                    # cancel(): queued work must not start, but the
-                    # consumer may still be draining — park a marker so
-                    # no sequence number is ever awaited forever.
-                    slots.put(seq, ("cancelled", _CANCELLED))
+                if isinstance(task[0], _SharedWork):
+                    board.run(task[0], task[1])
                     continue
+                self._record_depth(board)
+                seq, job = task
                 try:
-                    value = fn(seq, job)
-                except BaseException as exc:  # noqa: BLE001 - containment
-                    slots.put(seq, ("result", BlockResult(seq, error=exc)))
-                else:
-                    slots.put(seq, ("result", BlockResult(seq, value=value)))
+                    if stop.is_set():
+                        # cancel(): queued work must not start, but the
+                        # consumer may still be draining — park a marker
+                        # so no sequence number is awaited forever.
+                        slots.put(seq, ("cancelled", _CANCELLED))
+                        continue
+                    _running.board = board
+                    try:
+                        value = fn(seq, job)
+                    except BaseException as exc:  # noqa: BLE001 - containment
+                        slots.put(seq, ("result", BlockResult(seq, error=exc)))
+                    else:
+                        slots.put(seq, ("result", BlockResult(seq, value=value)))
+                    finally:
+                        _running.board = None
+                finally:
+                    with cond:
+                        board.busy -= 1
+                        cond.notify_all()
 
         threads = [
             threading.Thread(
@@ -384,19 +523,12 @@ class PipelinedBlockRunner(Generic[JobT, ResultT]):
                 yield item
         finally:
             stop.set()
-            # Unblock a feeder stuck on a full feed queue, then make
-            # sure every worker sees a sentinel even if the feeder
-            # exited before queueing them all.
-            try:
-                while True:
-                    feed.get_nowait()
-            except _queue.Empty:
-                pass
-            for _ in range(self._n_workers):
-                try:
-                    feed.put_nowait(_SENTINEL)
-                except _queue.Full:
-                    break
+            # Queued jobs never start; idle workers leave at once, busy
+            # ones after their job.
+            with cond:
+                board.closed = True
+                board.jobs.clear()
+                cond.notify_all()
             for thread in threads:
                 thread.join(timeout=5.0)
             if self._instruments is not None:

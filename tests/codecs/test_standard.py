@@ -1,6 +1,7 @@
 """Unit tests for the zlib/bzip2/lzma solver wrappers."""
 
 import bz2
+import functools
 import threading
 
 import numpy as np
@@ -108,6 +109,59 @@ SMALL_INPUTS = {
 }
 
 
+def _block_limit(level):
+    """libbz2's ``nblockMAX``: RLE1 bytes that close a block."""
+    return 100_000 * level - 19
+
+
+def _run_free(n, seed=0):
+    """``n`` bytes in which no byte repeats its predecessor (values 0-3)."""
+    steps = np.random.default_rng(seed).integers(1, 4, n)
+    return (np.cumsum(steps) % 4).astype(np.uint8).tobytes()
+
+
+def _filled_on_last_byte(level):
+    """RLE1 fills the first block exactly when the last byte arrives:
+    ``bz2.compress`` then makes a second, one-byte block."""
+    return _run_free(_block_limit(level) + 1)
+
+
+def _run_across_limit(level, run, offset):
+    """A run of ``run`` equal bytes that starts ``offset`` RLE1 bytes
+    from the block limit, between run-free bytes."""
+    head = _run_free(_block_limit(level) + offset)
+    return head + b"\x07" * run + _run_free(300, seed=1)
+
+
+def _identical(blocks):
+    """Equal bytes filling ``blocks`` level-1 blocks, the last one
+    partly: 255-byte runs code as 5 RLE1 bytes."""
+    return b"\x42" * int((blocks - 0.5) * _block_limit(1) / 5 * 255)
+
+
+#: name -> (level, input builder): each input is built by its own test.
+BLOCK_EDGE_INPUTS = {
+    **{
+        f"filled-on-last-byte-{level}": (
+            level, functools.partial(_filled_on_last_byte, level)
+        )
+        for level in LEVELS
+    },
+    **{
+        f"run-{run}-at-{offset:+d}-{level}": (
+            level, functools.partial(_run_across_limit, level, run, offset)
+        )
+        for level in (1, 2)
+        for run in (3, 4, 5, 255, 256)
+        for offset in (-2, -1, 0)
+    },
+    **{
+        f"identical-{blocks}-blocks": (1, functools.partial(_identical, blocks))
+        for blocks in (1, 2, 3)
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def registry_solver_inputs():
     """Each registry dataset's bzip2 solver input, as the pipeline builds it.
@@ -138,6 +192,22 @@ class TestBzip2Binding:
     ):
         data = registry_solver_inputs[name]
         assert Bzip2Codec(level).compress(data) == bz2.compress(data, level)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_EDGE_INPUTS))
+    def test_matches_bz2_module_at_block_edges(self, name):
+        level, build = BLOCK_EDGE_INPUTS[name]
+        data = build()
+        assert Bzip2Codec(level).compress(data) == bz2.compress(data, level)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_filled_block_closes_before_the_pending_run(self, level):
+        data = _filled_on_last_byte(level)
+        assert standard.bzip2_block_starts(data, level) == [0, len(data) - 1]
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_identical_bytes_block_count(self, blocks):
+        data = _identical(blocks)
+        assert len(standard.bzip2_block_starts(data, 1)) == blocks
 
     @pytest.mark.parametrize(
         "wrap", [bytes, bytearray, memoryview], ids=lambda w: w.__name__

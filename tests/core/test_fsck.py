@@ -5,6 +5,8 @@ index footer) and *unpublished* state (crashed-writer temp files), and
 it never fabricates payload.  Every test pins one side of that line.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,26 @@ class TestOrphans:
         with ContainerFile(final) as reader:
             assert reader.opened_via == "footer"
             assert np.array_equal(reader.read_all(), values[:30_000])
+
+    def test_repair_walks_each_orphan_once(self, tmp_path, monkeypatch):
+        """Finalizing reuses the examination's walk of the temp file."""
+        # repro.core re-exports the function ``fsck`` under the
+        # module's name, so the module is reached through sys.modules.
+        module = sys.modules["repro.core.fsck"]
+        walked = []
+        real = module._walk_chain
+
+        def counting(data, **kwargs):
+            walked.append(len(data))
+            return real(data, **kwargs)
+
+        monkeypatch.setattr(module, "_walk_chain", counting)
+        values = build_structured(_N, np.float64, 6,
+                                  np.random.default_rng(44))
+        final, _writer = _crashed_writer(tmp_path, values, n_chunks=4)
+        [orphan] = fsck(final, repair=True).orphans
+        assert orphan.finalized and orphan.n_chunks == 4
+        assert len(walked) == 1
 
     def test_torn_final_chunk_dropped_not_stitched(self, tmp_path):
         values = build_structured(_N, np.float64, 6,
