@@ -92,7 +92,7 @@ def run_checks(bench_dir: Path, env: dict) -> int:
          [sys.executable, str(bench_dir / "run_docs_snippets.py")]),
         ("archive fsck (isobar fsck on a fresh archive)",
          [sys.executable, "-c", _FSCK_CHECK]),
-        ("selector smoke (predict-first vs EUPA probe)",
+        ("selector smoke (staged probe vs EUPA oracle)",
          [sys.executable, str(bench_dir / "run_selector.py"), "--smoke"]),
         ("concurrency sanitizer smoke (isobar sanitize --smoke)",
          [sys.executable, str(bench_dir / "run_sanitizer.py")]),

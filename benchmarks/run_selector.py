@@ -1,32 +1,23 @@
 #!/usr/bin/env python
-"""Selector benchmark: predict-first and staged decisions vs the EUPA probe.
+"""Selector benchmark: the staged EUPA probe vs the exhaustive oracle.
 
-For every dataset in the registry, measures three decision paths on
-identical inputs and an identical candidate space:
+For every body, measures two decision paths on identical inputs and an
+identical candidate space:
 
 * **probe** — ``EupaSelector.select_exhaustive``: the paper's oracle,
   which times every (codec, linearization) candidate on the sample;
-* **predict** — ``LearnedSelector.select`` after warm-up: the online
-  regressor decides from content features without any timing;
-* **cached** — ``CachedSelector.select`` on a warm cache: the decision
-  replays from the LRU + TTL map.
+* **staged** — ``EupaSelector.select``, the staged probe (RATIO
+  preference): its decision time, its exact trials and their time, and
+  its size regret against the oracle, ``chosen_size / best_size - 1``.
 
-and the **ratio regret** of the learned choice against the probed
-oracle: ``(best_measured_ratio - chosen_measured_ratio) / best``.
-
-Every row also carries **staged** columns for ``EupaSelector.select``,
-the staged probe (RATIO preference): its decision time, its exact
-trials and their time, and its size regret against the exhaustive
-oracle, ``chosen_size / best_size - 1``.  Beyond the 24 datasets at
-``--elements``, the staged columns are measured on the 72 small bodies
-(each dataset at 16,384, 32,768 and 65,536 elements, default seeds)
-and on the nine perfbench-shaped service bodies (16,000, 32,000 and
+The bodies are the 24 registry datasets at ``--elements``, the 72 small
+bodies (each dataset at 16,384, 32,768 and 65,536 elements, default
+seeds) and the nine perfbench-shaped service bodies (16,000, 32,000 and
 64,000 elements of ``field_f64``, ``particles_i64`` and
 ``repetitive_f64`` from ``repro.datasets.synthetic``, seed 7321).
 
-Acceptance gates: predict- and cache-path decision latency >= 5x
-below the probe, mean learned regret <= 5 %, and staged size regret
-<= 0.5 % on every body (``--smoke`` included).
+Acceptance gate: staged size regret <= 0.5 % on every body
+(``--smoke`` included).
 
 Canonical invocation (records the repo's benchmark artifact)::
 
@@ -52,12 +43,6 @@ from repro.core.analyzer import analyze
 from repro.core.preferences import IsobarConfig
 from repro.core.probe_estimator import estimate_outputs
 from repro.core.selector import REGRET_BUDGET, EupaSelector
-from repro.core.selector_learned import (
-    CachedSelector,
-    LearnedSelector,
-    OnlineRatioModel,
-    SelectorDecisionCache,
-)
 from repro.datasets import dataset_names, generate_dataset
 from repro.datasets.synthetic import (
     build_particle_ids,
@@ -164,81 +149,6 @@ def _measure_staged(
     }
 
 
-def _measure_dataset(
-    name: str, n_elements: int, repeats: int, seed: int, config: IsobarConfig
-) -> dict:
-    values = generate_dataset(name, n_elements=n_elements, seed=seed)
-
-    # Fresh model and cache per dataset: the benchmark reports cold
-    # warm-up behaviour, not whatever earlier datasets taught the
-    # process-wide singletons.
-    model = OnlineRatioModel()
-    learned = LearnedSelector(config, model=model)
-    cache = SelectorDecisionCache()
-    cached = CachedSelector(config, cache=cache, inner=learned)
-
-    probe_seconds, oracle = _best_of(
-        repeats, lambda: EupaSelector(config).select_exhaustive(values)
-    )
-    measured = {
-        (c.codec_name, c.linearization): c.ratio for c in oracle.candidates
-    }
-
-    # Warm-up: probes on the same seeded sample train the model until
-    # the predict path engages (2 observations suffice by default, the
-    # cap only guards against a pathological residual).
-    warmups = 0
-    while warmups < 6:
-        decision = learned.select(values)
-        warmups += 1
-        if decision.origin == "predicted":
-            break
-
-    predict_seconds, predicted = _best_of(
-        repeats, lambda: learned.select(values)
-    )
-    cached.select(values)  # populate the cache
-    cached_seconds, replayed = _best_of(
-        repeats, lambda: cached.select(values)
-    )
-
-    chosen = measured.get((predicted.codec_name, predicted.linearization))
-    best = max(measured.values()) if measured else None
-    regret = (
-        max(0.0, (best - chosen) / best)
-        if chosen is not None and best else None
-    )
-
-    row = {
-        "dataset": name,
-        "n_elements": n_elements,
-        "warmup_probes": warmups,
-        "probe_origin": oracle.origin,
-        "predict_origin": predicted.origin,
-        "cached_origin": replayed.origin,
-        "probe_choice": f"{oracle.codec_name}+{oracle.linearization.value}",
-        "predict_choice": (
-            f"{predicted.codec_name}+{predicted.linearization.value}"
-        ),
-        "probe_ms": round(probe_seconds * 1e3, 3),
-        "predict_ms": round(predict_seconds * 1e3, 3),
-        "cached_ms": round(cached_seconds * 1e3, 3),
-        "ratio_regret": round(regret, 5) if regret is not None else None,
-    }
-    row["predict_speedup"] = (
-        round(probe_seconds / predict_seconds, 2) if predict_seconds else None
-    )
-    row["cached_speedup"] = (
-        round(probe_seconds / cached_seconds, 2) if cached_seconds else None
-    )
-    staged = _measure_staged(values, repeats, config)
-    row.update({
-        k: v for k, v in staged.items()
-        if k.startswith(("staged", "probe_trial"))
-    })
-    return row
-
-
 def _staged_bodies(smoke: bool):
     """(label, values): the small registry bodies and the service bodies."""
     if not smoke:
@@ -284,54 +194,30 @@ def _staged_summary(rows: list[dict]) -> dict:
 def run(names: tuple[str, ...], n_elements: int, repeats: int,
         seed: int, smoke: bool = False) -> dict:
     config = IsobarConfig(selector_seed=seed)
-    rows = []
-    for name in names:
-        row = _measure_dataset(name, n_elements, repeats, seed, config)
-        rows.append(row)
-        print(
-            f"{name:<14s} probe={row['probe_ms']:>8.3f}ms "
-            f"predict={row['predict_ms']:>7.3f}ms "
-            f"({row['predict_speedup']}x) "
-            f"cached={row['cached_ms']:>7.3f}ms "
-            f"({row['cached_speedup']}x)  "
-            f"regret={row['ratio_regret']}  "
-            f"[{row['probe_choice']} vs {row['predict_choice']}]  "
-            f"staged={row['staged_ms']:.3f}ms "
-            f"regret={row['staged_regret']}",
-            flush=True,
-        )
-    staged_rows = []
-    for label, values in _staged_bodies(smoke):
-        row = {"body": label, "n_elements": int(values.size)}
-        row.update(_measure_staged(values, repeats, config))
-        staged_rows.append(row)
-        print(
-            f"{label:<30s} probe={row['probe_ms']:>8.3f}ms "
-            f"({row['probe_trials']} trials) "
-            f"staged={row['staged_ms']:>8.3f}ms "
-            f"({row['staged_trials']} trials)  "
-            f"regret={row['staged_regret']}",
-            flush=True,
-        )
+    datasets = (
+        (name, generate_dataset(name, n_elements=n_elements, seed=seed))
+        for name in names
+    )
+    rows, staged_rows = [], []
+    for key, bodies, sink in (
+        ("dataset", datasets, rows),
+        ("body", _staged_bodies(smoke), staged_rows),
+    ):
+        for label, values in bodies:
+            row = {key: label, "n_elements": int(values.size)}
+            row.update(_measure_staged(values, repeats, config))
+            sink.append(row)
+            print(
+                f"{label:<30s} probe={row['probe_ms']:>8.3f}ms "
+                f"({row['probe_trials']} trials) "
+                f"staged={row['staged_ms']:>8.3f}ms "
+                f"({row['staged_trials']} trials)  "
+                f"regret={row['staged_regret']}",
+                flush=True,
+            )
     service = [r for r in staged_rows if r["body"].startswith("service:")]
-
-    regrets = [r["ratio_regret"] for r in rows if r["ratio_regret"] is not None]
-    predicted = [r for r in rows if r["predict_origin"] == "predicted"]
     summary = {
         "datasets": len(rows),
-        "predicted_path_engaged": len(predicted),
-        "mean_ratio_regret": (
-            round(sum(regrets) / len(regrets), 5) if regrets else None
-        ),
-        "max_ratio_regret": round(max(regrets), 5) if regrets else None,
-        "mean_predict_speedup": round(
-            sum(r["predict_speedup"] for r in rows) / len(rows), 2
-        ),
-        "mean_cached_speedup": round(
-            sum(r["cached_speedup"] for r in rows) / len(rows), 2
-        ),
-        "min_predict_speedup": min(r["predict_speedup"] for r in rows),
-        "min_cached_speedup": min(r["cached_speedup"] for r in rows),
         "staged": {
             "datasets": _staged_summary(rows),
             "small_bodies": (
@@ -378,34 +264,6 @@ def main(argv: list[str] | None = None) -> int:
     result = run(names, elements, repeats, args.seed, smoke=args.smoke)
 
     summary = result["summary"]
-    print(
-        f"mean regret={summary['mean_ratio_regret']} "
-        f"mean predict speedup={summary['mean_predict_speedup']}x "
-        f"mean cached speedup={summary['mean_cached_speedup']}x"
-    )
-    failures = []
-    if summary["predicted_path_engaged"] != summary["datasets"]:
-        failures.append(
-            "predict path failed to engage on "
-            f"{summary['datasets'] - summary['predicted_path_engaged']} "
-            "dataset(s)"
-        )
-    if summary["mean_ratio_regret"] is None or (
-        summary["mean_ratio_regret"] > 0.05
-    ):
-        failures.append(
-            f"mean ratio regret {summary['mean_ratio_regret']} above 5%"
-        )
-    if not args.smoke and summary["mean_predict_speedup"] < 5.0:
-        failures.append(
-            f"mean predict speedup {summary['mean_predict_speedup']}x "
-            "below the 5x gate"
-        )
-    if not args.smoke and summary["mean_cached_speedup"] < 5.0:
-        failures.append(
-            f"mean cached speedup {summary['mean_cached_speedup']}x "
-            "below the 5x gate"
-        )
     staged = summary["staged"]["all"]
     print(
         f"staged: max regret={staged['max_regret']} "
@@ -413,20 +271,20 @@ def main(argv: list[str] | None = None) -> int:
         f"service trial-time fraction="
         f"{summary['staged']['service_bodies']['trial_ms_fraction']}"
     )
-    if staged["max_regret"] > REGRET_BUDGET:
-        failures.append(
-            f"staged probe regret {staged['max_regret']} above "
-            f"{REGRET_BUDGET}"
+    failed = staged["max_regret"] > REGRET_BUDGET
+    if failed:
+        print(
+            f"FAIL: staged probe regret {staged['max_regret']} above "
+            f"{REGRET_BUDGET}",
+            file=sys.stderr,
         )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
 
     if args.json:
         with open(args.json, "w") as sink:
             json.dump(result, sink, indent=2)
             sink.write("\n")
         print(f"wrote {args.json}")
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

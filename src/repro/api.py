@@ -124,11 +124,11 @@ def compress(
         Optional explicit overrides; unset, the selector decides.
     selector:
         Selection strategy: ``"eupa"`` (default — the paper's timing
-        probe), ``"learned"`` (predict-first, probes only when
-        uncertain), ``"cached"`` (learned behind a shared decision
-        cache) or a :class:`~repro.core.selector.SelectorStrategy`
-        instance.  Every strategy honours the other overrides
-        identically; the container format never changes.
+        probe), any name registered with
+        :func:`~repro.core.selector.register_selector_strategy`, or a
+        :class:`~repro.core.selector.SelectorStrategy` instance.  Every
+        strategy honours the other overrides identically; the
+        container format never changes.
     config:
         Full :class:`~repro.core.preferences.IsobarConfig`; the other
         keywords are applied on top of it.

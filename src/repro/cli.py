@@ -5,7 +5,7 @@ The CLI operates on raw dataset files (see
 
     isobar generate gts_chkp_zion field.rds --elements 375000
     isobar analyze field.rds
-    isobar plan field.rds --selector learned
+    isobar plan field.rds --json
     isobar compress field.rds field.isobar --preference speed
     isobar decompress field.isobar restored.rds
     isobar stats field.rds
@@ -14,7 +14,7 @@ The CLI operates on raw dataset files (see
 ``plan`` dry-runs the selector — the decision plus its evaluation or
 prediction record, no container written; ``--selector`` (also on
 ``compress``, ``stats`` and ``serve``) picks the selection strategy
-(``eupa`` default, ``learned``, ``cached`` — see ``docs/selector.md``).
+(``eupa`` default, or any registered name — see ``docs/selector.md``).
 
 ``bench`` regenerates any of the paper's tables or figures on the
 synthetic datasets and prints them in the paper's layout.  ``stats``
@@ -423,10 +423,8 @@ def _add_selector_argument(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--selector`` strategy flag."""
     parser.add_argument(
         "--selector", default=None, metavar="STRATEGY",
-        help="selection strategy: eupa (default, full timing probe), "
-             "learned (predict-first, probes only when uncertain), "
-             "cached (learned behind a shared decision cache), or any "
-             "registered strategy name",
+        help="selection strategy: eupa (default, the paper's staged "
+             "timing probe) or any registered strategy name",
     )
 
 

@@ -769,9 +769,9 @@ class IsobarCompressor:
         else:
             self._metrics = NULL_REGISTRY
         self._instruments = PipelineInstruments(self._metrics)
-        # config.selector names the strategy ("eupa" default, "learned",
-        # "cached" or an instance); every strategy shares the EUPA
-        # candidate space and decision record.
+        # config.selector names the strategy ("eupa" default, another
+        # registered name or an instance); every strategy shares the
+        # EUPA candidate space and decision record.
         self._selector = resolve_selector(
             self._config,
             metrics=self._metrics if self._metrics.enabled else None,

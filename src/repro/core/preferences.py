@@ -178,10 +178,9 @@ class IsobarConfig:
         reproducible.
     selector:
         Selection strategy: a registered name — ``"eupa"`` (default,
-        the paper's timing probe), ``"learned"`` (predict-first online
-        regressor that probes only when uncertain) or ``"cached"``
-        (the learned strategy behind a shared content-keyed decision
-        cache) — or any object implementing the
+        the paper's timing probe) or one added with
+        :func:`~repro.core.selector.register_selector_strategy` — or
+        any object implementing the
         :class:`~repro.core.selector.SelectorStrategy` protocol.
         Every strategy honours the ``preference`` / ``codec`` /
         ``linearization`` overrides identically and only influences

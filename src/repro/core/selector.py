@@ -119,13 +119,12 @@ class CandidateFailure:
 class CandidatePrediction:
     """An estimate for one (codec, linearization) candidate.
 
-    Emitted by the learned selector
-    (:mod:`repro.core.selector_learned`) when it decides without
-    timing; ``confident`` marks whether the estimate cleared the
-    strategy's uncertainty rule.  The staged EUPA probe emits one for
-    each candidate its size estimate ruled out: ``predicted_ratio``
-    is the sample ratio that estimate implies, ``confident`` is true
-    and ``predicted_throughput`` is 0.0 (no time is estimated).
+    The staged EUPA probe emits one for each candidate its size
+    estimate ruled out: ``predicted_ratio`` is the sample ratio that
+    estimate implies, ``confident`` is true and
+    ``predicted_throughput`` is 0.0 (no time is estimated).  A custom
+    strategy may emit its own, with ``confident`` marking whether an
+    estimate cleared that strategy's uncertainty rule.
     """
 
     codec_name: str
@@ -165,12 +164,13 @@ class SelectorDecision:
     sample_elements: int
     #: Candidates that raised during trial evaluation (skipped, not fatal).
     failed_candidates: tuple[CandidateFailure, ...] = ()
-    #: How the decision was produced: ``"probe"`` (timed candidate
-    #: evaluations), ``"predicted"`` (regressor, no timing) or
-    #: ``"cached"`` (replayed from a :class:`SelectorDecisionCache`).
+    #: How the decision was produced.  Every built-in decision is
+    #: ``"probe"`` (timed candidate evaluations); a custom strategy
+    #: may name its own origin, e.g. ``"predicted"`` for a decision
+    #: made without timing.
     origin: str = "probe"
-    #: Regressor estimates backing a predicted decision; on a probed
-    #: decision, the estimates that ruled candidates out of the trials.
+    #: On a probed decision, the estimates that ruled candidates out
+    #: of the trials; a custom strategy's estimates otherwise.
     predictions: tuple[CandidatePrediction, ...] = ()
     #: The winning trial, kept only when the sample was the whole
     #: input.  Not part of equality, ``repr``, ``to_dict`` or pickles.
@@ -645,12 +645,6 @@ StrategyFactory = Callable[
 _STRATEGIES: dict[str, StrategyFactory] = {}
 _STRATEGY_LOCK = threading.Lock()
 
-#: Names resolved by importing :mod:`repro.core.selector_learned` on
-#: first use — keeps the default ("eupa") path free of the learned
-#: machinery.
-_LAZY_STRATEGY_MODULE = "repro.core.selector_learned"
-_LAZY_STRATEGY_NAMES = ("learned", "cached")
-
 
 def register_selector_strategy(
     name: str, factory: StrategyFactory, *, replace: bool = False
@@ -674,8 +668,7 @@ def register_selector_strategy(
 def selector_strategy_names() -> tuple[str, ...]:
     """All registered strategy names (built-ins included), sorted."""
     with _STRATEGY_LOCK:
-        names = set(_STRATEGIES)
-    return tuple(sorted(names | set(_LAZY_STRATEGY_NAMES)))
+        return tuple(sorted(_STRATEGIES))
 
 
 def resolve_selector(
@@ -685,9 +678,9 @@ def resolve_selector(
 ) -> SelectorStrategy:
     """Build the strategy ``config.selector`` asks for.
 
-    Accepts a registered name (``"eupa"``, ``"learned"``, ``"cached"``
-    or anything added via :func:`register_selector_strategy`) or a
-    ready strategy instance, which is returned as-is.
+    Accepts a registered name (``"eupa"`` or anything added via
+    :func:`register_selector_strategy`) or a ready strategy instance,
+    which is returned as-is.
     """
     selector = config.selector
     if not isinstance(selector, str):
@@ -700,12 +693,6 @@ def resolve_selector(
     name = selector.lower()
     with _STRATEGY_LOCK:
         factory = _STRATEGIES.get(name)
-    if factory is None and name in _LAZY_STRATEGY_NAMES:
-        import importlib
-
-        importlib.import_module(_LAZY_STRATEGY_MODULE)
-        with _STRATEGY_LOCK:
-            factory = _STRATEGIES.get(name)
     if factory is None:
         choices = ", ".join(repr(n) for n in selector_strategy_names())
         raise ConfigurationError(

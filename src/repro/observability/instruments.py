@@ -74,24 +74,10 @@ class PipelineInstruments:
     ``selector_failures``
         ``isobar_selector_failures_total{codec=,linearization=}`` —
         candidate evaluations that raised and were skipped.
-    ``selector_predictions``
-        ``isobar_selector_predictions_total{outcome=predicted|probed|cached}``
-        — how each learned-selector decision was produced: confident
-        prediction (no timing), probe fallback (uncertain margin) or
-        decision-cache replay.
-    ``selector_cache_hits`` / ``selector_cache_misses``
-        ``isobar_selector_cache_hits_total`` /
-        ``isobar_selector_cache_misses_total`` — decision-cache
-        lookups by result (expired TTL entries count as misses).
     ``selector_decision_seconds``
         ``isobar_selector_decision_seconds{strategy=}`` histogram —
-        wall-clock of one selection decision (sampling + features +
-        prediction, or the full timing probe for ``eupa``).
-    ``selector_regret``
-        ``isobar_selector_regret`` histogram — on probe fallbacks
-        where a prediction existed, the relative sample-ratio gap
-        between the predicted-best candidate and the measured winner
-        (0 when the prediction would have picked the same winner).
+        wall-clock of one selection decision (sampling, estimate and
+        trials for ``eupa``).
     ``parallel_queue_depth``
         ``isobar_parallel_queue_depth{queue=feed}`` gauge — jobs
         sitting in the pipelined engine's bounded feed queue.
@@ -180,29 +166,10 @@ class PipelineInstruments:
             "isobar_selector_failures_total",
             "Selector candidate evaluations that raised and were skipped.",
         )
-        self.selector_predictions = registry.counter(
-            "isobar_selector_predictions_total",
-            "Learned-selector decisions by outcome "
-            "(predicted, probed or cached).",
-        )
-        self.selector_cache_hits = registry.counter(
-            "isobar_selector_cache_hits_total",
-            "Selector decision-cache lookups that replayed a decision.",
-        )
-        self.selector_cache_misses = registry.counter(
-            "isobar_selector_cache_misses_total",
-            "Selector decision-cache lookups that missed (or expired).",
-        )
         self.selector_decision_seconds = registry.histogram(
             "isobar_selector_decision_seconds",
             "Wall-clock seconds per selection decision, by strategy.",
             buckets=DEFAULT_SECONDS_BUCKETS,
-        )
-        self.selector_regret = registry.histogram(
-            "isobar_selector_regret",
-            "Relative sample-ratio regret of the prediction vs the "
-            "probed winner, observed on probe fallbacks.",
-            buckets=(0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5),
         )
         self.parallel_queue_depth = registry.gauge(
             "isobar_parallel_queue_depth",

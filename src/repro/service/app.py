@@ -572,10 +572,8 @@ class IsobarService:
     def _planner_for(self, overrides: dict) -> SelectorStrategy:
         """The cached selector strategy serving ``/v1/plan`` requests.
 
-        Cached per parameter combination like the compressors, so the
-        learned strategies keep their online state across requests
-        (the named strategies additionally share the process-wide
-        model and decision cache with the compress path).
+        Cached per parameter combination like the compressors, so a
+        stateful custom strategy keeps its state across requests.
         """
         key = tuple(sorted(overrides.items()))
         with self._compressor_lock:
@@ -652,14 +650,9 @@ class IsobarService:
 
     def _selector_stats(self) -> dict:
         """The ``selector`` section of the stats document."""
-        from repro.core.selector_learned import shared_decision_cache
-
         with self._compressor_lock:
             failed = dict(sorted(self._selector_failed.items()))
-        return {
-            "failed_candidates": failed,
-            "decision_cache": shared_decision_cache().stats(),
-        }
+        return {"failed_candidates": failed}
 
     # -- connection handling ----------------------------------------------
 

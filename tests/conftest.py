@@ -102,6 +102,37 @@ def gil_bound_codec():
 
 
 @pytest.fixture
+def custom_selector():
+    """A selector strategy registered as ``"test-custom"`` for the test.
+
+    It returns EUPA's decision relabelled ``origin="custom"``, so a
+    caller can tell from the decision that the name reached it.  The
+    name is unregistered afterwards.
+    """
+    import dataclasses
+
+    from repro.core import selector as selector_module
+
+    class CustomSelector:
+        def __init__(self, config, metrics):
+            self._inner = selector_module.EupaSelector(config, metrics=metrics)
+
+        def select(self, values, analysis=None):
+            decision = self._inner.select(values, analysis)
+            return dataclasses.replace(decision, origin="custom")
+
+    name = "test-custom"
+    selector_module.register_selector_strategy(
+        name, CustomSelector, replace=True
+    )
+    try:
+        yield name
+    finally:
+        with selector_module._STRATEGY_LOCK:
+            selector_module._STRATEGIES.pop(name, None)
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """A fresh, fixed-seed random generator per test."""
     return np.random.default_rng(12345)

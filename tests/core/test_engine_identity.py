@@ -7,9 +7,8 @@ every registry dataset (20,000 elements, seed 3, 5,000-element
 chunks, default RATIO preference with the EUPA selector).  Each digest
 is the first 16 hex digits of a SHA-256: of the container bytes, or of
 the decoded array bytes; a decode that raised is recorded as the
-exception's class name.  SPEED and the learned/cached selectors are
-left out: their choices depend on timing or on state carried between
-calls, so their containers are not reproducible digests.
+exception's class name.  SPEED is left out: its choices depend on
+timing, so its containers are not reproducible digests.
 
 Row layout: the in-memory container (every worker count and the
 facade must match it); the stream written in 5,000-, 15,000- and

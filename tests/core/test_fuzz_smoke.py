@@ -1,10 +1,12 @@
-"""Opt-in fuzz smoke run (``pytest -m fuzz``).
+"""Fuzz smoke run over every container reader.
 
 Reuses the driver from ``benchmarks/run_fuzz_smoke.py``: N seeded
 random containers, every fault type, every reader, asserting only
 :class:`IsobarError` ever escapes and skip-mode output is never
-fabricated.  Excluded from the default suite by the ``fuzz`` marker;
-a tiny always-on case keeps the driver itself from rotting.
+fabricated.  The ``fuzz`` marker only labels the 25-case run
+(``pytest -m fuzz`` selects it alone); the default ``addopts``
+deselect no marker, so both tests here run in every default suite
+run, the 2-case one keeping the driver itself from rotting.
 """
 
 import sys

@@ -21,7 +21,6 @@ from repro.core.metadata import ContainerHeader
 from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig, Linearization, Preference
 from repro.core.selector import REGRET_BUDGET, EupaSelector
-from repro.core.selector_learned import LearnedSelector, OnlineRatioModel
 from repro.core.stream import StreamingWriter
 from repro.datasets.registry import dataset_names, generate_dataset
 from repro.datasets.synthetic import (
@@ -179,17 +178,11 @@ class TestExhaustiveCallers:
         assert len(decision.candidates) == 4
         assert decision.predictions == ()
 
-    def test_learned_selector_observes_every_candidate(self, field_body):
-        model = OnlineRatioModel()
-        seen = []
-        observe = model.observe
-        model.observe = lambda *args, **kwargs: (
-            seen.append(args[1:3]), observe(*args, **kwargs)
-        )
-        decision = LearnedSelector(model=model).select(field_body)
+    def test_select_exhaustive_trials_every_candidate(self, field_body):
+        decision = EupaSelector().select_exhaustive(field_body)
         assert decision.origin == "probe"
-        assert len(seen) == 4
         assert len(decision.candidates) == 4
+        assert decision.predictions == ()
 
 
 class TestFailureContainment:

@@ -21,12 +21,6 @@ from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig, Linearization
 from repro.core.resilience import ResiliencePolicy
 from repro.core.selector import EupaSelector
-from repro.core.selector_learned import (
-    CachedSelector,
-    LearnedSelector,
-    OnlineRatioModel,
-    SelectorDecisionCache,
-)
 from repro.core.stream import StreamingWriter
 from repro.datasets.registry import dataset_names, generate_dataset
 from repro.datasets.synthetic import (
@@ -248,27 +242,6 @@ class TestTrialNeverLeaks:
 
     def test_plan_returns_no_trial(self, single_chunk):
         assert repro.plan(single_chunk).trial is None
-
-    def test_cached_replay_carries_no_trial(self, single_chunk):
-        config = IsobarConfig(selector="cached")
-        cache = SelectorDecisionCache()
-        inner = LearnedSelector(config, model=OnlineRatioModel())
-        selector = CachedSelector(config, cache=cache, inner=inner)
-        first = selector.select(single_chunk)
-        assert first.origin == "probe" and first.trial is not None
-        replay = selector.select(single_chunk)
-        assert replay.origin == "cached"
-        assert replay.trial is None
-        assert replay.candidates == first.candidates
-
-    def test_shared_cache_replay_matches_probed_container(self, rng):
-        values = build_structured(12_345, np.float64, 5, rng)
-        compressor = IsobarCompressor(IsobarConfig(selector="cached"))
-        first = compressor.compress_detailed(values)
-        replay = compressor.compress_detailed(values)
-        assert replay.decision.origin == "cached"
-        assert replay.decision.trial is None
-        assert replay.payload == first.payload
 
 
 class TestUndeterminedDedupe:

@@ -185,9 +185,8 @@ class TestObservability:
         client.compress(_values(2_000))
         stats = client.stats()
         selector = stats["selector"]
+        assert set(selector) == {"failed_candidates"}
         assert selector["failed_candidates"] == {}
-        cache = selector["decision_cache"]
-        assert set(cache) >= {"entries", "hits", "misses", "ttl_seconds"}
 
 
 class TestPlanEndpoint:
@@ -217,26 +216,30 @@ class TestPlanEndpoint:
         assert doc["codec"] == "zlib"
         assert doc["preference"] == "speed"
 
-    def test_plan_and_compress_accept_selector_strategies(self, service):
+    def test_plan_and_compress_accept_selector_strategies(
+        self, service, custom_selector
+    ):
         _, client = service
         data = _values(8_000)
         response = client.request(
-            "POST", "/v1/plan?dtype=float64&selector=learned", data.tobytes()
+            "POST",
+            f"/v1/plan?dtype=float64&selector={custom_selector}",
+            data.tobytes(),
         )
         assert response.status == 200
-        assert response.json()["origin"] in ("probe", "predicted")
+        assert response.json()["origin"] == "custom"
 
         outcome = client.compress(data)
         restored = client.decompress(outcome.payload)
         assert np.array_equal(restored, data)
         for _ in range(2):
-            cached = client.request(
+            custom = client.request(
                 "POST",
-                "/v1/compress?dtype=float64&selector=cached",
+                f"/v1/compress?dtype=float64&selector={custom_selector}",
                 data.tobytes(),
             )
-            assert cached.status == 200
-        restored = client.decompress(cached.body)
+            assert custom.status == 200
+        restored = client.decompress(custom.body)
         assert np.array_equal(restored, data)
 
     def test_plan_requires_dtype(self, service):

@@ -450,13 +450,13 @@ class TestPlanCommand:
 
     def test_parser_accepts_plan_and_selector(self):
         parser = build_parser()
-        args = parser.parse_args(["plan", "in.rds", "--selector", "learned",
+        args = parser.parse_args(["plan", "in.rds", "--selector", "eupa",
                                   "--preference", "speed"])
         assert args.command == "plan"
-        assert args.selector == "learned"
+        assert args.selector == "eupa"
         args = parser.parse_args(["compress", "in.rds", "out.isobar",
-                                  "--selector", "cached"])
-        assert args.selector == "cached"
+                                  "--selector", "my-strategy"])
+        assert args.selector == "my-strategy"
 
     def test_plan_prints_decision(self, raw, capsys):
         capsys.readouterr()
@@ -480,11 +480,13 @@ class TestPlanCommand:
         assert main(["plan", str(raw), "--selector", "bogus"]) != 0
         assert "error" in capsys.readouterr().err
 
-    def test_compress_with_learned_selector_roundtrips(self, raw, tmp_path):
+    def test_compress_with_registered_selector_roundtrips(
+        self, raw, tmp_path, custom_selector
+    ):
         container = tmp_path / "f.isobar"
         restored = tmp_path / "f.rds"
         assert main(["compress", str(raw), str(container),
-                     "--selector", "learned"]) == 0
+                     "--selector", custom_selector]) == 0
         assert main(["decompress", str(container), str(restored)]) == 0
         assert np.array_equal(load_raw(raw), load_raw(restored))
 

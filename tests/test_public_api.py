@@ -288,16 +288,18 @@ class TestSelectorSurface:
         assert doc["candidates"]
 
     def test_plan_honours_strategy_instances(self, data):
-        from repro.core.selector_learned import LearnedSelector
+        from repro.core.selector import EupaSelector
 
-        learned = LearnedSelector()
-        decision = repro.plan(data, selector=learned)
-        assert decision.origin in ("probe", "predicted")
+        eupa = EupaSelector(IsobarConfig(codec="lzma"))
+        decision = repro.plan(data, selector=eupa)
+        assert decision.origin == "probe"
+        assert decision.codec_name == "lzma"  # never a default candidate
 
-    def test_open_stream_accepts_selector(self, tmp_path, data):
+    def test_open_stream_accepts_selector(self, tmp_path, data,
+                                          custom_selector):
         path = tmp_path / "sel.isbr"
         with repro.open_stream(path, "w", dtype=data.dtype,
-                               selector="learned") as writer:
+                               selector=custom_selector) as writer:
             writer.write_chunk(data)
         restored = np.concatenate(list(repro.open_stream(path)))
         assert np.array_equal(restored, data)

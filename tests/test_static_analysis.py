@@ -601,7 +601,7 @@ class TestSelectorContractRule:
                 except SelectorError:
                     raise RuntimeError("probe failed")
             """,
-            module="repro.core.selector_learned",
+            module="repro.core.selector_custom",
         )
         assert rule_ids(report) == ["ISO008"]
 
@@ -621,7 +621,7 @@ class TestSelectorContractRule:
                 except SelectorError:
                     raise
             """,
-            module="repro.core.selector_learned",
+            module="repro.core.selector_custom",
         )
         assert report.ok
 
