@@ -8,7 +8,8 @@ contract of :mod:`repro.core.resilience`:
 * compression **completes** under injected faults — no exception
   escapes, the worst case is a degraded (zlib-fallback or raw) chunk;
 * the degraded set is **deterministic** and exactly matches the set of
-  chunks whose solver payload the chaos trigger dooms;
+  chunks whose solver payload the chaos trigger dooms, and each doomed
+  chunk calls the codec once (no retry);
 * ``isobar_chunks_degraded_total`` matches the injected fault count;
 * the circuit breaker opens after K *consecutive* failures and routes
   subsequent chunks straight to the fallback (with half-open probes);
@@ -145,7 +146,7 @@ def scenario_flaky(seed: int) -> list[str]:
     """Partial flakiness: doomed chunks degrade, the rest stay healthy."""
     failures: list[str] = []
     tag = f"scenario=flaky seed={seed}"
-    policy = ResiliencePolicy(max_attempts=2, breaker_threshold=10_000)
+    policy = ResiliencePolicy(breaker_threshold=10_000)
     config = _base_config(policy)
     values = _build_values(seed)
 
@@ -170,12 +171,15 @@ def scenario_flaky(seed: int) -> list[str]:
             f"{tag}: degraded chunks {sorted(degraded)} != doomed "
             f"{sorted(doomed)} (nondeterministic or leaked fault)"
         )
-    # Content-keyed faults fail the retry too: 2 attempts per doomed chunk.
-    expected_retries = len(doomed) * (policy.max_attempts - 1)
-    if result.degradation.retries != expected_retries:
+    # Each doomed chunk calls the codec once: every failed call hit a
+    # payload no earlier call had failed on.
+    if flaky.failures != flaky.unique_failed_payloads or any(
+        event.attempts != 1 for event in result.degradation.events
+    ):
         failures.append(
-            f"{tag}: {result.degradation.retries} retries, "
-            f"expected {expected_retries}"
+            f"{tag}: {flaky.failures} failed codec calls on "
+            f"{flaky.unique_failed_payloads} payloads; expected one "
+            f"call per doomed chunk"
         )
     for event in result.degradation.events:
         if event.cause != "error" or event.encoding != "zlib-fallback":
@@ -199,7 +203,6 @@ def scenario_hang(seed: int) -> list[str]:
     failures: list[str] = []
     tag = f"scenario=hang seed={seed}"
     policy = ResiliencePolicy(
-        max_attempts=1,
         chunk_deadline_seconds=0.05,
         breaker_threshold=10_000,
     )
@@ -253,7 +256,6 @@ def scenario_breaker(seed: int) -> list[str]:
     tag = f"scenario=breaker seed={seed}"
     threshold, probe_after = 3, 2
     policy = ResiliencePolicy(
-        max_attempts=1,
         breaker_threshold=threshold,
         breaker_probe_after=probe_after,
     )

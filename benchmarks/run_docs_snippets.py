@@ -25,9 +25,12 @@ Usage::
     PYTHONPATH=src python benchmarks/run_docs_snippets.py [--root PATH]
         [--verbose] [--list]
 
-Exits non-zero and prints one line per failing snippet.  The same
-driver backs ``tests/test_docs_snippets.py``, so a broken example
-fails the suite, not a reader.
+Exits non-zero and prints one line per failing snippet, located as
+``file:line``.  The same driver backs ``tests/test_docs_snippets.py``,
+so a broken example fails the suite, not a reader; there each snippet
+is named ``file#heading-slug-N`` (the nearest heading above it and its
+ordinal under that heading), so editing prose elsewhere in a file does
+not rename it.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ from pathlib import Path
 #: exactly ``python runnable`` (the tag is the opt-in).
 _OPEN_RE = re.compile(r"^\s*```python runnable\s*$")
 _CLOSE_RE = re.compile(r"^\s*```\s*$")
+#: Any fence line: headings are only read outside fenced blocks.
+_FENCE_RE = re.compile(r"^\s*```")
+_HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 
 #: Directories never scanned (mirrors run_docs_linkcheck).
 _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules",
@@ -58,10 +64,28 @@ class Snippet:
     path: Path
     lineno: int  # 1-based line of the opening fence
     source: str
+    #: Slug of the nearest heading above the snippet ("" when none).
+    heading: str = ""
+    #: 1-based position among the file's snippets under that heading.
+    ordinal: int = 1
 
     @property
     def label(self) -> str:
+        """Where the snippet is: ``file:line`` (failure messages)."""
         return f"{self.path}:{self.lineno}"
+
+    @property
+    def test_id(self) -> str:
+        """Stable name: ``file#heading-slug-N``; edits outside the
+        snippet's own section leave it unchanged."""
+        anchor = f"{self.heading}-" if self.heading else ""
+        return f"{self.path}#{anchor}{self.ordinal}"
+
+
+def heading_slug(text: str) -> str:
+    """GitHub-style anchor of a Markdown heading's text."""
+    text = re.sub(r"[^\w\- ]", "", text.strip().lower())
+    return text.replace(" ", "-")
 
 
 def iter_doc_files(root: Path) -> list[Path]:
@@ -84,17 +108,29 @@ def extract_snippets(path: Path, root: Path) -> list[Snippet]:
     snippets = []
     lines = path.read_text(encoding="utf-8").splitlines()
     block: list[str] | None = None
+    in_other_fence = False
     open_line = 0
+    heading = ""
+    per_heading: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         if block is None:
-            if _OPEN_RE.match(line):
+            if in_other_fence:
+                in_other_fence = not _FENCE_RE.match(line)
+            elif _OPEN_RE.match(line):
                 block = []
                 open_line = lineno
+            elif _FENCE_RE.match(line):
+                in_other_fence = True
+            elif match := _HEADING_RE.match(line):
+                heading = heading_slug(match.group(1))
         elif _CLOSE_RE.match(line):
+            per_heading[heading] = per_heading.get(heading, 0) + 1
             snippets.append(Snippet(
                 path=path.relative_to(root),
                 lineno=open_line,
                 source="\n".join(block) + "\n",
+                heading=heading,
+                ordinal=per_heading[heading],
             ))
             block = None
         else:
@@ -160,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.list:
         for snippet in collect_snippets(args.root):
-            print(snippet.label)
+            print(f"{snippet.test_id}  ({snippet.label})")
         return 0
     failures = run(args.root, verbose=args.verbose)
     for line in failures:

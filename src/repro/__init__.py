@@ -30,7 +30,7 @@ The package splits into:
 * :mod:`repro.core` — the paper's contribution: analyzer, partitioner,
   EUPA-selector, chunked workflow and container format;
 * :mod:`repro.codecs` — the solver layer (zlib/bzip2/lzma) plus
-  from-scratch FPC, fpzip-style and PFOR baselines;
+  from-scratch FPC and fpzip-style baselines;
 * :mod:`repro.analysis` — entropy, bit/byte profiling, metrics;
 * :mod:`repro.observability` — metrics registry, stage tracing and
   pipeline run reports (see ``docs/observability.md``);

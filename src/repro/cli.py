@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="backpressure bound: chunk blocks fed to "
                            "workers but not yet reassembled (default: "
                            "2 x workers)")
-    _add_retry_arguments(comp)
 
     dec = sub.add_parser("decompress", help="restore a raw dataset file")
     dec.add_argument("input", help="ISOBAR container")
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--strict", action="store_true",
                        help="serve with strict resilience (degradation "
                             "becomes 503 instead of a degraded 200)")
-    _add_retry_arguments(serve)
     serve.add_argument("--chaos-seed", type=int, default=0,
                        help="seed for the wire-level fault injectors")
     serve.add_argument("--chaos-delay-percent", type=float, default=0.0,
@@ -377,46 +375,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_retry_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared resilience retry/backoff flag group."""
-    group = parser.add_argument_group("retry policy")
-    group.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="retries per chunk after the first attempt "
-                            "(default: policy max_attempts - 1)")
-    group.add_argument("--retry-backoff", type=float, default=None,
-                       metavar="SECONDS",
-                       help="base of the exponential backoff between "
-                            "retries (0 retries immediately)")
-    group.add_argument("--retry-jitter", action="store_true",
-                       help="randomise each backoff over [0, envelope] "
-                            "(full jitter, seeded — decorrelates "
-                            "concurrent retries)")
-    group.add_argument("--retry-jitter-seed", type=int, default=None,
-                       metavar="INT",
-                       help="seed for the jitter stream (default 0)")
-
-
-def _apply_retry_args(
+def _apply_strict(
     config: IsobarConfig, args: argparse.Namespace
 ) -> IsobarConfig:
-    """Fold the shared retry flags into ``config.resilience``."""
-    overrides: dict[str, object] = {}
-    if getattr(args, "retries", None) is not None:
-        overrides["max_attempts"] = args.retries + 1
-    if getattr(args, "retry_backoff", None) is not None:
-        overrides["retry_backoff_seconds"] = args.retry_backoff
-    if getattr(args, "retry_jitter", False):
-        overrides["retry_jitter"] = True
-    if getattr(args, "retry_jitter_seed", None) is not None:
-        overrides["retry_jitter_seed"] = args.retry_jitter_seed
-    if getattr(args, "strict", False):
-        overrides["strict"] = True
-    if not overrides:
+    """Fold ``--strict`` into ``config.resilience``."""
+    if not args.strict:
         return config
     from repro.core.resilience import ResiliencePolicy
 
     policy = config.resilience or ResiliencePolicy()
-    return config.replace(resilience=policy.replace(**overrides))
+    return config.replace(resilience=policy.replace(strict=True))
 
 
 def _add_selector_argument(parser: argparse.ArgumentParser) -> None:
@@ -495,7 +463,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     import json
 
     values = load_raw(args.input)
-    config = _apply_retry_args(_config_from_args(args), args)
+    config = _apply_strict(_config_from_args(args), args)
     compressor = _pipeline_compressor(
         config, args, collect_metrics=args.metrics_json is not None
     )
@@ -876,9 +844,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.service.chaos import NetworkChaos, NetworkChaosPolicy
 
-    # Serve with the service defaults (jittered backoff + chunk
-    # deadline), then layer the CLI flags on top.
-    config = _apply_retry_args(
+    # Serve with the service default (a chunk deadline), then layer
+    # ``--strict`` on top.
+    config = _apply_strict(
         _config_from_args(args).replace(resilience=DEFAULT_SERVICE_POLICY),
         args,
     )

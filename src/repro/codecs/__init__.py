@@ -5,9 +5,9 @@ Importing this package registers the standard byte-stream solvers —
 ``bzip2-1``) in the global codec registry, so
 ``repro.codecs.get_codec("zlib")`` works out of the box.
 
-The array codecs (:class:`FpcCodec`, :class:`FpzipLikeCodec`, the PFOR
-family) are the paper's comparison baselines and are used directly
-rather than through the byte-codec registry.
+The array codecs (:class:`FpcCodec`, :class:`FpzipLikeCodec`) are the
+paper's comparison baselines and are used directly rather than through
+the byte-codec registry.
 """
 
 from repro.codecs.array_base import ArrayCodec, pack_array_header, unpack_array_header
@@ -25,13 +25,6 @@ from repro.codecs.fpzip_like import (
     FpzipLikeCodec,
     float_to_ordered_uint,
     ordered_uint_to_float,
-)
-from repro.codecs.pfor import (
-    PdictCodec,
-    PforCodec,
-    PforDeltaCodec,
-    pack_bits,
-    unpack_bits,
 )
 from repro.codecs.standard import (
     Bzip2Codec,
@@ -56,11 +49,6 @@ __all__ = [
     "FpzipLikeCodec",
     "float_to_ordered_uint",
     "ordered_uint_to_float",
-    "PdictCodec",
-    "PforCodec",
-    "PforDeltaCodec",
-    "pack_bits",
-    "unpack_bits",
     "Bzip2Codec",
     "IsalZlibCodec",
     "LzmaCodec",

@@ -1,8 +1,8 @@
 """Array codecs: lossless compressors that operate on typed arrays.
 
-FPC, fpzip and the PFOR family are not byte-stream compressors — they
-exploit the element structure of the data (64-bit doubles, integer
-columns).  :class:`ArrayCodec` is their contract: a numpy array in, a
+FPC and fpzip are not byte-stream compressors — they exploit the
+element structure of the data (64-bit doubles, integer columns).
+:class:`ArrayCodec` is their contract: a numpy array in, a
 self-describing byte string out, with a bit-exact round trip.
 
 A tiny self-describing header (dtype + shape) is provided so every

@@ -79,8 +79,8 @@ class ChunkTimeoutError(CodecError):
 
     Raised by :func:`repro.core.resilience.call_with_deadline` when a
     codec does not return within ``ResiliencePolicy.chunk_deadline_seconds``.
-    The resilience layer treats it like any other solver failure
-    (retry, then degrade); under a strict policy it propagates.
+    The resilience layer treats it like any other solver failure (the
+    chunk degrades); under a strict policy it propagates.
     """
 
 

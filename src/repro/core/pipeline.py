@@ -272,10 +272,8 @@ class EncodedChunk:
     #: ``codec.name`` on the healthy path, else ``"zlib-fallback"``/``"raw"``.
     encoding: str
     degraded: bool
-    #: Primary-codec attempts actually made (0 when the breaker was open).
+    #: Primary-codec tries made: 0 when the breaker was open, else 1.
     attempts: int
-    #: Attempts beyond the first.
-    retries: int
     #: Degradation cause (``"error"``/``"timeout"``/``"breaker_open"``).
     cause: str | None = None
     #: Message of the last primary-codec error, when there was one.
@@ -346,20 +344,20 @@ def encode_chunk_payload(
     consumed before its next use.
 
     With a :class:`~repro.core.resilience.ResiliencePolicy` the solver
-    call is fault-contained: it is retried (with backoff) under an
-    optional per-chunk deadline, gated by the codec's circuit breaker,
-    and on exhaustion the chunk *degrades* through the fallback chain —
-    stdlib ``zlib``, then raw passthrough — instead of failing the run.
-    A strict policy raises :class:`~repro.core.exceptions.CodecError`
-    once the primary codec is exhausted.
+    call is fault-contained: one try under an optional per-chunk
+    deadline, gated by the codec's circuit breaker.  On an error, a
+    timeout or a round-trip mismatch the chunk *degrades* at once
+    through the fallback chain — stdlib ``zlib``, then raw passthrough
+    — instead of failing the run; the codec's verdict depends only on
+    the chunk's bytes, so a second try would fail too.  A strict policy
+    raises :class:`~repro.core.exceptions.CodecError` instead.
 
     ``trial`` is the selector's winning trial (see
     :class:`~repro.core.selector.WinningTrial`).  Its output replaces
-    the first attempt's codec call when it was made by this codec
-    object on exactly this chunk's solver input, within the chunk
-    deadline; the breaker, verification and attempt accounting apply
-    to it unchanged, and its codec time counts as that attempt's solve
-    time.
+    the chunk's codec call when it was made by this codec object on
+    exactly this chunk's solver input, within the chunk deadline; the
+    breaker and verification apply to it unchanged, and its codec time
+    counts as the chunk's solve time.
     """
     raw_nbytes = _buffer_nbytes(raw)
     partition_seconds = 0.0
@@ -388,7 +386,6 @@ def encode_chunk_payload(
         if policy is not None and breakers is not None
         else None
     )
-    max_attempts = policy.max_attempts if policy is not None else 1
     reused = (
         trial
         if trial is not None
@@ -398,52 +395,44 @@ def encode_chunk_payload(
         else None
     )
 
-    attempts = 0
-    cause: str | None = None
-    last_error: BaseException | None = None
-    if breaker is None or breaker.allow():
-        while attempts < max_attempts:
-            if attempts and policy is not None:
-                # Retry n waits the policy's (optionally jittered)
-                # exponential backoff; the chunk index tokenises the
-                # jitter stream so concurrent chunks decorrelate.
-                policy.pause_before_retry(attempts, token=chunk_index)
-            attempts += 1
-            solve_start = time.perf_counter()
-            try:
-                if reused is not None:
-                    # The trial ran this very solve inside the selector.
-                    # Its codec time is this attempt's solve time, so
-                    # the solve stage and ``solve_seconds`` still cover
-                    # the chunk's solve.
-                    compressed = reused.compressed
-                    solve_start -= reused.compress_seconds
-                    stage_start -= reused.compress_seconds
-                    reused = None
-                else:
-                    compressed = call_with_deadline(
-                        codec.compress, payload, deadline
+    last_error: Exception | None = None
+    if breaker is not None and not breaker.allow():
+        attempts, cause = 0, "breaker_open"
+    else:
+        attempts = 1
+        solve_start = time.perf_counter()
+        try:
+            if reused is not None:
+                # The trial ran this very solve inside the selector.  Its
+                # codec time is this chunk's solve time, so the solve
+                # stage and ``solve_seconds`` still cover the solve.
+                compressed = reused.compressed
+                solve_start -= reused.compress_seconds
+                stage_start -= reused.compress_seconds
+            else:
+                compressed = call_with_deadline(
+                    codec.compress, payload, deadline
+                )
+            if policy is not None and policy.verify_roundtrip:
+                restored = call_with_deadline(
+                    codec.decompress, compressed, deadline
+                )
+                if restored != payload:
+                    raise CodecError(
+                        f"{codec.name}: round-trip verification failed "
+                        f"({len(restored)} bytes back, "
+                        f"{len(payload)} expected)"
                     )
-                if policy is not None and policy.verify_roundtrip:
-                    restored = call_with_deadline(
-                        codec.decompress, compressed, deadline
-                    )
-                    if restored != payload:
-                        raise CodecError(
-                            f"{codec.name}: round-trip verification failed "
-                            f"({len(restored)} bytes back, "
-                            f"{len(payload)} expected)"
-                        )
-            except Exception as exc:  # noqa: BLE001 - containment boundary
-                tracer.add("solve", time.perf_counter() - solve_start,
-                           bytes_in=len(payload))
-                if policy is None:
-                    raise
-                if breaker is not None:
-                    breaker.record_failure()
-                timed_out = isinstance(exc, ChunkTimeoutError)
-                cause, last_error = "timeout" if timed_out else "error", exc
-                continue
+        except Exception as exc:  # noqa: BLE001 - containment boundary
+            tracer.add("solve", time.perf_counter() - solve_start,
+                       bytes_in=len(payload))
+            if policy is None:
+                raise
+            if breaker is not None:
+                breaker.record_failure()
+            timed_out = isinstance(exc, ChunkTimeoutError)
+            cause, last_error = "timeout" if timed_out else "error", exc
+        else:
             tracer.add(
                 "solve", time.perf_counter() - solve_start,
                 bytes_in=len(payload), bytes_out=len(compressed),
@@ -461,19 +450,16 @@ def encode_chunk_payload(
                 - partition_seconds,
                 encoding=codec.name,
                 degraded=False,
-                attempts=attempts,
-                retries=attempts - 1,
+                attempts=1,
             )
-    else:
-        cause = "breaker_open"
 
-    # Primary codec exhausted (or short-circuited by its breaker).
+    # The primary codec failed (or its breaker short-circuited the call).
     assert policy is not None
     if policy.strict:
         if last_error is not None:
             raise CodecError(
-                f"chunk {chunk_index}: {codec.name} failed after "
-                f"{attempts} attempt(s): {last_error}"
+                f"chunk {chunk_index}: {codec.name} failed after one try: "
+                f"{last_error}"
             ) from last_error
         raise CodecError(
             f"chunk {chunk_index}: {codec.name} circuit breaker is open"
@@ -500,7 +486,6 @@ def encode_chunk_payload(
         encoding=fb_name,
         degraded=True,
         attempts=attempts,
-        retries=max(attempts - 1, 0),
         cause=cause,
         error=str(last_error) if last_error is not None else None,
     )
@@ -531,10 +516,8 @@ class ChunkReport:
     encoding: str = ""
     #: True when the chunk fell back to a degraded encoding.
     degraded: bool = False
-    #: Primary-codec attempts made (0 when the breaker short-circuited).
+    #: Primary-codec tries made (0 when the breaker short-circuited).
     attempts: int = 1
-    #: Attempts beyond the first.
-    retries: int = 0
     #: Degradation cause (``error``/``timeout``/``breaker_open``) or None.
     cause: str | None = None
     #: Last primary-codec error message, when there was one.
@@ -581,7 +564,7 @@ class CompressionResult:
     analyze_seconds: float
     compress_seconds: float
     select_seconds: float
-    #: Fault-containment record: every degraded chunk plus retry totals.
+    #: Fault-containment record: every degraded chunk.
     degradation: DegradationReport = field(default_factory=DegradationReport)
     #: Size of the trailing chunk-index footer (container framing).
     footer_bytes: int = 0
@@ -664,9 +647,7 @@ def _degradation_from_reports(
         for r in reports
         if r.degraded
     )
-    return DegradationReport(
-        events=events, retries=sum(r.retries for r in reports)
-    )
+    return DegradationReport(events=events)
 
 
 class _Lead(NamedTuple):
@@ -1170,7 +1151,6 @@ class IsobarCompressor:
             encoding=encoded.encoding,
             degraded=encoded.degraded,
             attempts=encoded.attempts,
-            retries=encoded.retries,
             cause=encoded.cause,
             error=encoded.error,
         )
@@ -1182,8 +1162,6 @@ class IsobarCompressor:
                 stored_bytes=len(blob),
                 seconds=analyze_seconds + compress_seconds,
             )
-            if encoded.retries:
-                self._instruments.chunk_retries.inc(encoded.retries)
             if encoded.degraded:
                 self._instruments.chunks_degraded.inc(
                     1, cause=encoded.cause or "error"

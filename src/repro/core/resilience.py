@@ -11,12 +11,14 @@ worst case is ratio 1.0 plus a report.
 
 Three cooperating pieces live here:
 
-* :class:`ResiliencePolicy` — the knobs: per-chunk retries with
-  exponential backoff, an optional per-chunk deadline, the fallback
-  chain (codec → stdlib ``zlib`` → raw), and strict mode (degradation
-  becomes a hard failure).
+* :class:`ResiliencePolicy` — the knobs: an optional per-chunk
+  deadline, the fallback chain (codec → stdlib ``zlib`` → raw), and
+  strict mode (degradation becomes a hard failure).  Each chunk gets
+  one primary-codec try: the built-in codecs are in-process and their
+  verdict depends only on the chunk's bytes, so a retry of a failed
+  chunk would fail again.
 * :class:`CodecCircuitBreaker` / :class:`BreakerBoard` — a per-codec
-  breaker that opens after K *consecutive* failures or timeouts and
+  breaker that opens after K *consecutive* failing chunks and
   routes the rest of the run straight to the fallback; after a number
   of skipped chunks it lets one half-open probe through, closing again
   on success.  Progress is chunk-count based (not wall-clock) so runs
@@ -35,10 +37,8 @@ can embed a policy without import cycles.
 from __future__ import annotations
 
 import enum
-import random
 import threading
-import time as _time
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, replace as _dc_replace
 from typing import Callable
 
 from repro.core.exceptions import ChunkTimeoutError, ConfigurationError
@@ -52,37 +52,7 @@ __all__ = [
     "DegradationReport",
     "ResiliencePolicy",
     "call_with_deadline",
-    "full_jitter_backoff",
 ]
-
-#: Knuth's multiplicative-hash constant, used to spread small seeds and
-#: tokens across the 32-bit key space before deriving a jitter stream.
-_JITTER_MIX = 2654435761
-
-
-def full_jitter_backoff(
-    base_seconds: float,
-    retry_number: int,
-    *,
-    cap_seconds: float | None = None,
-    rng: random.Random | None = None,
-) -> float:
-    """Exponential backoff with *full jitter* (AWS architecture-blog
-    style): retry *n* waits a uniform draw from
-    ``[0, min(cap, base * 2**(n-1))]``.
-
-    With ``rng=None`` the jitter is skipped and the deterministic
-    exponential envelope is returned — useful when the caller wants the
-    upper bound rather than a sample.
-    """
-    if base_seconds <= 0 or retry_number < 1:
-        return 0.0
-    envelope = base_seconds * (2.0 ** (retry_number - 1))
-    if cap_seconds is not None:
-        envelope = min(envelope, cap_seconds)
-    if rng is None:
-        return envelope
-    return rng.uniform(0.0, envelope)
 
 
 class BreakerState(enum.Enum):
@@ -104,37 +74,13 @@ class ResiliencePolicy:
 
     Parameters
     ----------
-    max_attempts:
-        Primary-codec attempts per chunk (>= 1).  The first attempt
-        counts, so 2 means "one retry".
-    retry_backoff_seconds:
-        Base of the exponential backoff envelope: retry *n* waits up to
-        ``retry_backoff_seconds * 2**(n-1)`` (capped by
-        ``retry_backoff_max_seconds``); 0 (the default) retries
-        immediately.
-    retry_backoff_max_seconds:
-        Ceiling of the backoff envelope, so a long retry chain cannot
-        sleep unboundedly.
-    retry_jitter:
-        Apply *full jitter*: each retry sleeps a uniform draw from
-        ``[0, envelope]`` instead of the envelope itself.  Jitter
-        decorrelates retries across concurrent workers and service
-        requests (the thundering-herd fix); draws are seeded per
-        ``(retry_jitter_seed, token, retry)`` so runs stay
-        reproducible.
-    retry_jitter_seed:
-        Seed of the jitter stream (see :meth:`backoff_delay`).
-    sleep:
-        The sleep callable backoff waits on — injectable so tests can
-        record delays instead of actually waiting.  Excluded from
-        equality and ``repr``.
     chunk_deadline_seconds:
         Wall-clock budget for a single solver call; ``None`` disables
         the deadline.  Enforced by :func:`call_with_deadline`, which
         runs the call on a helper thread — only set it when hung
         encoders are a real risk.
     fallback_zlib:
-        When the primary codec is exhausted, try a stdlib-``zlib``
+        When the primary codec fails, try a stdlib-``zlib``
         encoding of the raw chunk bytes (container mode
         ``FALLBACK_ZLIB``) before giving up compression entirely.  The
         stdlib module is called directly — a misbehaving codec
@@ -146,48 +92,25 @@ class ResiliencePolicy:
         *silently* (at roughly 2x solver cost); corruption is treated
         as a failure and degrades like any other.
     breaker_threshold:
-        Consecutive primary-codec failures (K) that open that codec's
-        circuit breaker.
+        Consecutive failing chunks (K) that open that codec's circuit
+        breaker.
     breaker_probe_after:
         While open, the breaker short-circuits this many chunks to the
         fallback, then lets a single half-open probe through.
     strict:
-        Degradation becomes a hard failure: retries still happen, but
-        when the primary codec is exhausted a
-        :class:`~repro.core.exceptions.CodecError` propagates instead
-        of a fallback encoding.
+        Degradation becomes a hard failure: when the primary codec
+        fails a :class:`~repro.core.exceptions.CodecError` propagates
+        instead of a fallback encoding.
     """
 
-    max_attempts: int = 2
-    retry_backoff_seconds: float = 0.0
-    retry_backoff_max_seconds: float = 2.0
-    retry_jitter: bool = False
-    retry_jitter_seed: int = 0
     chunk_deadline_seconds: float | None = None
     fallback_zlib: bool = True
     verify_roundtrip: bool = False
     breaker_threshold: int = 3
     breaker_probe_after: int = 8
     strict: bool = False
-    sleep: Callable[[float], None] = field(
-        default=_time.sleep, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts!r}"
-            )
-        if self.retry_backoff_seconds < 0:
-            raise ConfigurationError(
-                "retry_backoff_seconds must be >= 0, got "
-                f"{self.retry_backoff_seconds!r}"
-            )
-        if self.retry_backoff_max_seconds <= 0:
-            raise ConfigurationError(
-                "retry_backoff_max_seconds must be positive, got "
-                f"{self.retry_backoff_max_seconds!r}"
-            )
         if (
             self.chunk_deadline_seconds is not None
             and self.chunk_deadline_seconds <= 0
@@ -210,43 +133,6 @@ class ResiliencePolicy:
         """Return a copy of this policy with ``changes`` applied."""
         return _dc_replace(self, **changes)
 
-    def backoff_delay(self, retry_number: int, *, token: int = 0) -> float:
-        """Seconds to wait before retry ``retry_number`` (1-based).
-
-        Without :attr:`retry_jitter` this is the deterministic
-        exponential envelope ``base * 2**(n-1)`` capped at
-        :attr:`retry_backoff_max_seconds` — the pre-jitter behaviour.
-        With jitter the delay is a uniform draw from ``[0, envelope]``
-        whose generator is seeded by ``(retry_jitter_seed, token,
-        retry_number)``; callers pass a stable ``token`` (the chunk
-        index, a request id) so concurrent retriers decorrelate while
-        any single retrier stays reproducible.
-        """
-        if self.retry_backoff_seconds <= 0 or retry_number < 1:
-            return 0.0
-        rng = None
-        if self.retry_jitter:
-            key = (
-                (self.retry_jitter_seed * _JITTER_MIX)
-                ^ (token * 0x9E3779B1)
-                ^ retry_number
-            ) & 0xFFFFFFFF
-            rng = random.Random(key)
-        return full_jitter_backoff(
-            self.retry_backoff_seconds,
-            retry_number,
-            cap_seconds=self.retry_backoff_max_seconds,
-            rng=rng,
-        )
-
-    def pause_before_retry(self, retry_number: int, *, token: int = 0) -> float:
-        """Sleep the computed :meth:`backoff_delay` (via the injectable
-        :attr:`sleep`) and return the delay that was applied."""
-        delay = self.backoff_delay(retry_number, token=token)
-        if delay > 0:
-            self.sleep(delay)
-        return delay
-
 
 @dataclass(frozen=True)
 class DegradationEvent:
@@ -256,7 +142,7 @@ class DegradationEvent:
     #: ``"error"`` (solver raised), ``"timeout"`` (deadline exceeded) or
     #: ``"breaker_open"`` (the codec's breaker short-circuited the call).
     cause: str
-    #: Primary-codec attempts actually made (0 when the breaker was open).
+    #: Primary-codec tries made: 0 when the breaker was open, else 1.
     attempts: int
     #: Final encoding: ``"zlib-fallback"`` or ``"raw"``.
     encoding: str
@@ -276,18 +162,14 @@ class DegradationEvent:
 
 @dataclass(frozen=True)
 class DegradationReport:
-    """Every degradation of one compression run, plus retry accounting.
+    """Every degradation of one compression run.
 
     Attached to :class:`~repro.core.pipeline.CompressionResult` as
     ``result.degradation``; an empty report means every chunk was
-    stored with the primary codec on the first attempt (or after a
-    successful retry — see :attr:`retries`).
+    stored with the primary codec.
     """
 
     events: tuple[DegradationEvent, ...] = ()
-    #: Primary-codec attempts beyond the first, summed over all chunks
-    #: (including retries that eventually succeeded).
-    retries: int = 0
 
     @property
     def clean(self) -> bool:
@@ -313,13 +195,12 @@ class DegradationReport:
         by_cause = ", ".join(
             f"{cause}: {n}" for cause, n in sorted(self.causes().items())
         )
-        lines = [
-            f"{self.degraded_chunks} chunk(s) degraded ({by_cause}); "
-            f"{self.retries} retry attempt(s)"
-        ]
+        lines = [f"{self.degraded_chunks} chunk(s) degraded ({by_cause})"]
         for event in self.events:
-            detail = f"chunk {event.chunk_index}: {event.cause} after " \
-                     f"{event.attempts} attempt(s) -> stored as {event.encoding}"
+            detail = (
+                f"chunk {event.chunk_index}: {event.cause} -> stored as "
+                f"{event.encoding}"
+            )
             if event.error:
                 detail += f" ({event.error})"
             lines.append(detail)
@@ -329,7 +210,6 @@ class DegradationReport:
         """JSON-ready representation (``--resilience-json``)."""
         return {
             "degraded_chunks": self.degraded_chunks,
-            "retries": self.retries,
             "causes": self.causes(),
             "events": [event.to_dict() for event in self.events],
         }
@@ -347,7 +227,7 @@ class DegradationReport:
             )
             for e in payload.get("events", ())
         )
-        return cls(events=events, retries=int(payload.get("retries", 0)))
+        return cls(events=events)
 
 
 @dataclass(frozen=True)
@@ -475,7 +355,7 @@ class CodecCircuitBreaker:
             self._transition(BreakerState.CLOSED)
 
     def record_failure(self) -> None:
-        """A primary-codec call failed or timed out."""
+        """A chunk's primary-codec call failed or timed out."""
         with self._lock:
             self._consecutive_failures += 1
             if self._state is BreakerState.HALF_OPEN:

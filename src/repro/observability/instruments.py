@@ -65,9 +65,6 @@ class PipelineInstruments:
     ``chunks_degraded``
         ``isobar_chunks_degraded_total{cause=error|timeout|breaker_open}``
         — chunks the resilience layer stored with a fallback encoding.
-    ``chunk_retries``
-        ``isobar_chunk_retries_total`` — primary-codec attempts beyond
-        the first, including retries that eventually succeeded.
     ``breaker_state``
         ``isobar_breaker_state{codec=}`` gauge — per-codec circuit
         breaker state (0 closed, 1 half-open, 2 open).
@@ -152,10 +149,6 @@ class PipelineInstruments:
         self.chunks_degraded = registry.counter(
             "isobar_chunks_degraded_total",
             "Chunks stored with a degraded fallback encoding, by cause.",
-        )
-        self.chunk_retries = registry.counter(
-            "isobar_chunk_retries_total",
-            "Primary-codec compression attempts beyond the first.",
         )
         self.breaker_state = registry.gauge(
             "isobar_breaker_state",

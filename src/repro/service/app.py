@@ -39,10 +39,11 @@ import json
 import signal
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import TYPE_CHECKING, Awaitable, Callable, Iterable
+from typing import TYPE_CHECKING, Awaitable, Callable, Iterable, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.devtools.sanitizer.loopwatch import LoopStallProbe
@@ -95,15 +96,17 @@ from repro.service.http import (
 
 __all__ = ["IsobarService", "ServiceConfig", "ServiceThread"]
 
-#: Default resilience policy for served traffic: jittered backoff so
-#: concurrent requests retrying a flaky codec decorrelate, plus a
-#: per-chunk deadline so one hung solver call cannot eat a whole
-#: request budget.
-DEFAULT_SERVICE_POLICY = ResiliencePolicy(
-    retry_backoff_seconds=0.01,
-    retry_jitter=True,
-    chunk_deadline_seconds=5.0,
-)
+#: Default resilience policy for served traffic: a per-chunk deadline
+#: so one hung solver call cannot eat a whole request budget.
+DEFAULT_SERVICE_POLICY = ResiliencePolicy(chunk_deadline_seconds=5.0)
+
+#: Parameter combinations (query overrides) whose compressor, and
+#: whose ``/v1/plan`` selector, stay cached; the least recently used
+#: is evicted beyond this.  Overrides such as ``tau`` are free-form
+#: client numbers, so an unbounded cache would grow per distinct value.
+_CACHED_OVERRIDE_SETS = 16
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -418,8 +421,10 @@ class IsobarService:
         self._observe_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="isobar-observe"
         )
-        self._compressors: dict[tuple, IsobarCompressor] = {}
-        self._planners: dict[tuple, SelectorStrategy] = {}
+        self._compressors: OrderedDict[tuple, IsobarCompressor] = (
+            OrderedDict()
+        )
+        self._planners: OrderedDict[tuple, SelectorStrategy] = OrderedDict()
         self._compressor_lock = threading.Lock()
         # (codec, linearization) -> count of selector candidate
         # failures observed across compress/plan decisions; surfaced
@@ -550,24 +555,19 @@ class IsobarService:
         Compressors are shared across requests (and executor threads:
         chunk workspaces are thread-local, breaker boards are locked)
         so circuit-breaker state persists the way an always-on ingest
-        path needs it to.
+        path needs it to — for the ``_CACHED_OVERRIDE_SETS`` most
+        recently used combinations.
         """
-        key = tuple(sorted(overrides.items()))
-        with self._compressor_lock:
-            compressor = self._compressors.get(key)
-            if compressor is None:
-                config = (
-                    self._config.isobar.replace(**overrides)
-                    if overrides else self._config.isobar
-                )
-                compressor = IsobarCompressor(
-                    config,
-                    self._config.pipeline_workers,
-                    max_inflight=self._config.pipeline_max_inflight,
-                    metrics=self._metrics,
-                )
-                self._compressors[key] = compressor
-            return compressor
+
+        def build(config: IsobarConfig) -> IsobarCompressor:
+            return IsobarCompressor(
+                config,
+                self._config.pipeline_workers,
+                max_inflight=self._config.pipeline_max_inflight,
+                metrics=self._metrics,
+            )
+
+        return self._cached(self._compressors, overrides, build)
 
     def _planner_for(self, overrides: dict) -> SelectorStrategy:
         """The cached selector strategy serving ``/v1/plan`` requests.
@@ -575,17 +575,33 @@ class IsobarService:
         Cached per parameter combination like the compressors, so a
         stateful custom strategy keeps its state across requests.
         """
+        return self._cached(
+            self._planners, overrides,
+            lambda config: resolve_selector(config, metrics=self._metrics),
+        )
+
+    def _cached(
+        self,
+        cache: OrderedDict[tuple, _T],
+        overrides: dict,
+        build: Callable[[IsobarConfig], _T],
+    ) -> _T:
+        """``cache``'s entry for ``overrides`` (built on a miss), kept
+        as an LRU of ``_CACHED_OVERRIDE_SETS`` entries."""
         key = tuple(sorted(overrides.items()))
         with self._compressor_lock:
-            planner = self._planners.get(key)
-            if planner is None:
+            value = cache.get(key)
+            if value is None:
                 config = (
                     self._config.isobar.replace(**overrides)
                     if overrides else self._config.isobar
                 )
-                planner = resolve_selector(config, metrics=self._metrics)
-                self._planners[key] = planner
-            return planner
+                value = cache[key] = build(config)
+                if len(cache) > _CACHED_OVERRIDE_SETS:
+                    cache.popitem(last=False)
+            else:
+                cache.move_to_end(key)
+            return value
 
     def _note_failed_candidates(self, decision) -> None:
         """Aggregate a decision's failed candidates for ``/v1/stats``."""
@@ -1106,7 +1122,11 @@ class IsobarService:
         deadline_at = time.monotonic() + deadline_seconds
 
         def _index() -> tuple[ContainerFile, bytes]:
-            reader_obj = ContainerFile(request.body, errors=errors)
+            # Each chunk is read once, so nothing is memoised: the
+            # readahead feed is the only buffer.
+            reader_obj = ContainerFile(
+                request.body, errors=errors, cache_chunks=0
+            )
             first = (
                 _little_endian_body(reader_obj.read_chunk(0))
                 if reader_obj.n_chunks else b""

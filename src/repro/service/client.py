@@ -34,7 +34,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.core.exceptions import InvalidInputError
-from repro.core.resilience import full_jitter_backoff
 from repro.service.errors import ServiceRequestError, ServiceUnavailableError
 
 __all__ = [
@@ -48,6 +47,31 @@ __all__ = [
 RETRYABLE_STATUSES = frozenset({429, 503})
 
 _JITTER_MIX = 2654435761
+
+
+def full_jitter_backoff(
+    base_seconds: float,
+    retry_number: int,
+    *,
+    cap_seconds: float | None = None,
+    rng: random.Random | None = None,
+) -> float:
+    """Exponential backoff with *full jitter* (AWS architecture-blog
+    style): retry *n* waits a uniform draw from
+    ``[0, min(cap, base * 2**(n-1))]``.
+
+    With ``rng=None`` the jitter is skipped and the deterministic
+    exponential envelope is returned — useful when the caller wants the
+    upper bound rather than a sample.
+    """
+    if base_seconds <= 0 or retry_number < 1:
+        return 0.0
+    envelope = base_seconds * (2.0 ** (retry_number - 1))
+    if cap_seconds is not None:
+        envelope = min(envelope, cap_seconds)
+    if rng is None:
+        return envelope
+    return rng.uniform(0.0, envelope)
 
 
 @dataclass(frozen=True)

@@ -120,8 +120,8 @@ class FlakyCodec(ChaosWrapper):
     fail_percent:
         Approximate share of *payloads* that fail, selected by a
         content-addressed key — the same payload always gets the same
-        verdict, so retries of a doomed chunk keep failing and the
-        failure pattern is identical in serial and parallel runs.
+        verdict, so the failure pattern is identical in serial and
+        parallel runs.
     seed:
         Varies which payloads are doomed.
     fail_first:

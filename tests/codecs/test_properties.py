@@ -11,7 +11,6 @@ from repro.codecs.fpzip_like import (
     float_to_ordered_uint,
     ordered_uint_to_float,
 )
-from repro.codecs.pfor import PdictCodec, PforCodec, PforDeltaCodec
 from repro.codecs.standard import Bzip2Codec, LzmaCodec, ZlibCodec
 
 # Arbitrary 64-bit patterns viewed as doubles: exercises NaNs,
@@ -98,35 +97,3 @@ class TestFpzipLikeProperties:
     def test_nd_float32_roundtrip(self, values):
         codec = FpzipLikeCodec()
         assert _bits_equal(codec.decode(codec.encode(values)), values)
-
-
-class TestPforProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(_int64_arrays)
-    def test_pfor_roundtrip(self, values):
-        codec = PforCodec(block_size=64)
-        assert np.array_equal(codec.decode(codec.encode(values)), values)
-
-    @settings(max_examples=40, deadline=None)
-    @given(_int64_arrays)
-    def test_pfor_delta_roundtrip(self, values):
-        codec = PforDeltaCodec(block_size=64)
-        assert np.array_equal(codec.decode(codec.encode(values)), values)
-
-    @settings(max_examples=40, deadline=None)
-    @given(_int64_arrays)
-    def test_pdict_roundtrip(self, values):
-        codec = PdictCodec(max_dictionary=64)
-        assert np.array_equal(codec.decode(codec.encode(values)), values)
-
-    @settings(max_examples=30, deadline=None)
-    @given(hnp.arrays(
-        dtype=st.sampled_from([np.uint8, np.int16, np.uint32, np.int32]),
-        shape=hnp.array_shapes(min_dims=1, max_dims=1, min_side=1,
-                               max_side=300),
-    ))
-    def test_pfor_narrow_dtypes(self, values):
-        codec = PforCodec(block_size=64)
-        decoded = codec.decode(codec.encode(values))
-        assert decoded.dtype == values.dtype
-        assert np.array_equal(decoded, values)

@@ -49,8 +49,7 @@ def degraded_container():
             codec="zlib",
             linearization=Linearization.ROW,
             resilience=ResiliencePolicy(
-                max_attempts=1, fallback_zlib=fallback,
-                breaker_threshold=10_000,
+                fallback_zlib=fallback, breaker_threshold=10_000,
             ),
         )
         with chaos_codec(FlakyCodec("zlib", fail_percent=100.0)):

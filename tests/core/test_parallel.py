@@ -145,9 +145,7 @@ class TestFaultContainment:
         from repro.core.resilience import ResiliencePolicy
         from repro.testing.chaos import FlakyCodec, chaos_codec
 
-        config = self._pinned(
-            resilience=ResiliencePolicy(strict=True, max_attempts=1)
-        )
+        config = self._pinned(resilience=ResiliencePolicy(strict=True))
         with chaos_codec(FlakyCodec("zlib", fail_percent=100.0)):
             with pytest.raises(CodecError):
                 ParallelIsobarCompressor(config, n_workers=4).compress(

@@ -3,9 +3,13 @@
 Covers the :mod:`repro.core.resilience` primitives (policy validation,
 circuit-breaker state machine, deadline helper, degradation report) and
 their wiring through :class:`~repro.core.pipeline.IsobarCompressor`:
-degraded chunks round-trip bit-exactly, strict mode fails hard, the
-fallback chain obeys the policy and the observability counters match.
+degraded chunks round-trip bit-exactly, a failing chunk degrades on
+its one codec call, strict mode fails hard, the fallback chain obeys
+the policy and the observability counters match.
 """
+
+import io
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from repro.core.resilience import (
     ResiliencePolicy,
     call_with_deadline,
 )
+from repro.core.stream import StreamingWriter
 from repro.datasets.synthetic import build_structured
 from repro.testing.chaos import (
     CorruptingCodec,
@@ -71,13 +76,13 @@ def values(rng):
 class TestPolicy:
     def test_defaults_valid(self):
         policy = ResiliencePolicy()
-        assert policy.max_attempts == 2
+        assert policy.chunk_deadline_seconds is None
         assert policy.fallback_zlib
         assert not policy.strict
 
     @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
-        {"retry_backoff_seconds": -1.0},
+        {"chunk_deadline_seconds": -1.0},
+        {"breaker_threshold": -1},
         {"chunk_deadline_seconds": 0.0},
         {"breaker_threshold": 0},
         {"breaker_probe_after": 0},
@@ -221,7 +226,7 @@ class TestPipelineDegradation:
             assert chunk.encoding == "zlib-fallback"
             assert chunk.cause == "error"
             assert chunk.error
-            assert chunk.attempts == 2
+            assert chunk.attempts == 1
         healthy = [c for c in result.chunks if not c.degraded]
         assert all(c.encoding == "zlib" for c in healthy)
 
@@ -286,8 +291,7 @@ class TestPipelineDegradation:
 
     def test_timeout_degrades(self, values):
         policy = ResiliencePolicy(
-            max_attempts=1, chunk_deadline_seconds=0.02,
-            breaker_threshold=100,
+            chunk_deadline_seconds=0.02, breaker_threshold=100,
         )
         with chaos_codec(
             HangingCodec("zlib", hang_seconds=0.3, hang_percent=100.0)
@@ -311,9 +315,7 @@ class TestPipelineDegradation:
         assert np.array_equal(np.asarray(restored).reshape(-1), values)
 
     def test_breaker_short_circuits_run(self, values):
-        policy = ResiliencePolicy(
-            max_attempts=1, breaker_threshold=2, breaker_probe_after=100,
-        )
+        policy = ResiliencePolicy(breaker_threshold=2, breaker_probe_after=100)
         with chaos_codec(FlakyCodec("zlib", fail_percent=100.0)):
             compressor = IsobarCompressor(_config(policy))
             result = compressor.compress_detailed(values)
@@ -324,7 +326,7 @@ class TestPipelineDegradation:
 
     def test_breaker_state_persists_across_runs(self, values):
         policy = ResiliencePolicy(
-            max_attempts=1, breaker_threshold=2, breaker_probe_after=10_000,
+            breaker_threshold=2, breaker_probe_after=10_000,
         )
         compressor = IsobarCompressor(_config(policy))
         with chaos_codec(FlakyCodec("zlib", fail_percent=100.0)):
@@ -338,16 +340,16 @@ class TestPipelineDegradation:
             e.cause == "breaker_open" for e in result.degradation.events
         )
 
-    def test_retry_recovers_transient_failure(self, values):
-        # Call 1 is the selector trial; call 2 is chunk 0's first
-        # attempt.  Failing only call 2 makes the retry succeed, so
-        # nothing degrades but the retry is accounted.
-        with chaos_codec(FlakyCodec("zlib", fail_percent=0.0,
-                                    fail_calls=(2,))):
+    def test_failed_call_degrades_without_retry(self, values):
+        # Call 1 is the selector trial; call 2 is chunk 0's one try.
+        # Failing only call 2 degrades chunk 0 at once: no call 3 for
+        # chunk 0, and every later chunk is healthy.
+        flaky = FlakyCodec("zlib", fail_percent=0.0, fail_calls=(2,))
+        with chaos_codec(flaky):
             result = IsobarCompressor(_config()).compress_detailed(values)
-        assert result.degradation.clean
-        assert result.degradation.retries == 1
-        assert not result.degraded
+        assert [(e.chunk_index, e.attempts) for e in
+                result.degradation.events] == [(0, 1)]
+        assert flaky.calls == 1 + len(result.chunks)
 
     def test_metrics_count_degradations(self, values):
         with chaos_codec(FlakyCodec("zlib", fail_percent=100.0)):
@@ -359,12 +361,10 @@ class TestPipelineDegradation:
             for c in ("error", "timeout", "breaker_open")
         )
         assert total == result.degradation.degraded_chunks
-        retries = compressor.metrics.get("isobar_chunk_retries_total")
-        assert retries.value() == result.degradation.retries
 
     def test_breaker_gauge_exported(self, values):
         policy = ResiliencePolicy(
-            max_attempts=1, breaker_threshold=1, breaker_probe_after=10_000,
+            breaker_threshold=1, breaker_probe_after=10_000,
         )
         with chaos_codec(FlakyCodec("zlib", fail_percent=100.0)):
             compressor = IsobarCompressor(
@@ -380,6 +380,54 @@ class TestPipelineDegradation:
         with_policy = IsobarCompressor(_config()).compress(values)
         without = IsobarCompressor(_config(None)).compress(values)
         assert with_policy == without
+
+
+class TestOneTryPerChunk:
+    """A failing chunk degrades on its one primary-codec call."""
+
+    @staticmethod
+    def _compress(path, values, codec):
+        config = _config(ResiliencePolicy(breaker_threshold=100))
+        with chaos_codec(codec):
+            if path == "stream":
+                writer = StreamingWriter(io.BytesIO(), values.dtype, config)
+                for start in range(0, values.size, _CHUNK):
+                    writer.write_chunk(values[start:start + _CHUNK])
+                writer.close()
+            else:
+                n_workers = 2 if path == "workers" else 1
+                IsobarCompressor(config, n_workers).compress(values)
+
+    @pytest.mark.parametrize("path", ["inline", "workers", "stream"])
+    def test_doomed_chunk_calls_the_codec_once(self, path, values):
+        healthy = FlakyCodec("zlib", fail_percent=0.0)
+        self._compress(path, values, healthy)
+        flaky = _partial_flaky(values)
+        self._compress(path, values, flaky)
+        assert flaky.failures > 0
+        # Same codec calls as a clean run: no payload is tried twice.
+        assert flaky.calls == healthy.calls
+        assert flaky.failures == flaky.unique_failed_payloads
+
+    def test_hung_chunk_degrades_after_one_deadline(self, values):
+        deadline = 0.4
+        policy = ResiliencePolicy(
+            chunk_deadline_seconds=deadline, breaker_threshold=100,
+        )
+        # Call 1 is the selector trial, call 2 chunk 0's one try; call 3
+        # would be a retry and hangs as well.
+        hanging = HangingCodec("zlib", hang_seconds=1.0, hang_calls=(2, 3))
+        single = values[:_CHUNK]
+        with chaos_codec(hanging):
+            start = time.perf_counter()
+            result = IsobarCompressor(_config(policy)).compress_detailed(
+                single
+            )
+            elapsed = time.perf_counter() - start
+        assert [(e.cause, e.attempts) for e in result.degradation.events] \
+            == [("timeout", 1)]
+        assert hanging.hangs == 1
+        assert deadline <= elapsed < 2 * deadline
 
 
 class TestOtherReaders:
@@ -415,119 +463,6 @@ class TestOtherReaders:
         assert np.array_equal(
             np.asarray(result.values).reshape(-1), values
         )
-
-
-class TestFullJitterBackoff:
-    def test_without_rng_returns_the_envelope(self):
-        from repro.core.resilience import full_jitter_backoff
-
-        assert full_jitter_backoff(0.1, 1) == pytest.approx(0.1)
-        assert full_jitter_backoff(0.1, 2) == pytest.approx(0.2)
-        assert full_jitter_backoff(0.1, 3) == pytest.approx(0.4)
-
-    def test_cap_bounds_the_envelope(self):
-        from repro.core.resilience import full_jitter_backoff
-
-        assert full_jitter_backoff(0.1, 10, cap_seconds=0.5) == 0.5
-
-    def test_degenerate_inputs_are_zero(self):
-        from repro.core.resilience import full_jitter_backoff
-
-        assert full_jitter_backoff(0.0, 3) == 0.0
-        assert full_jitter_backoff(0.1, 0) == 0.0
-
-    def test_rng_draws_from_the_full_interval(self):
-        import random
-
-        from repro.core.resilience import full_jitter_backoff
-
-        rng = random.Random(0)
-        draws = [
-            full_jitter_backoff(0.1, 3, rng=rng) for _ in range(200)
-        ]
-        assert all(0.0 <= d <= 0.4 for d in draws)
-        assert min(draws) < 0.1 and max(draws) > 0.3  # actually spread
-
-
-class TestPolicyBackoff:
-    def test_no_backoff_configured_means_zero_delay(self):
-        policy = ResiliencePolicy()  # retry_backoff_seconds = 0
-        assert policy.backoff_delay(1) == 0.0
-        assert policy.pause_before_retry(1) == 0.0
-
-    def test_unjittered_delay_is_the_exponential_envelope(self):
-        policy = ResiliencePolicy(retry_backoff_seconds=0.2)
-        assert policy.backoff_delay(1) == pytest.approx(0.2)
-        assert policy.backoff_delay(2) == pytest.approx(0.4)
-        assert policy.backoff_delay(5) == pytest.approx(2.0)  # capped
-
-    def test_jitter_is_deterministic_per_seed_and_token(self):
-        policy = ResiliencePolicy(
-            retry_backoff_seconds=0.2, retry_jitter=True,
-            retry_jitter_seed=11,
-        )
-        again = ResiliencePolicy(
-            retry_backoff_seconds=0.2, retry_jitter=True,
-            retry_jitter_seed=11,
-        )
-        assert policy.backoff_delay(2, token=5) == again.backoff_delay(
-            2, token=5
-        )
-        assert policy.backoff_delay(2, token=5) != policy.backoff_delay(
-            2, token=6
-        )
-        assert 0.0 <= policy.backoff_delay(2, token=5) <= 0.4
-
-    def test_seeds_decorrelate_the_stream(self):
-        a = ResiliencePolicy(
-            retry_backoff_seconds=0.2, retry_jitter=True, retry_jitter_seed=1
-        )
-        b = ResiliencePolicy(
-            retry_backoff_seconds=0.2, retry_jitter=True, retry_jitter_seed=2
-        )
-        draws_a = [a.backoff_delay(n) for n in range(1, 6)]
-        draws_b = [b.backoff_delay(n) for n in range(1, 6)]
-        assert draws_a != draws_b
-
-    def test_pause_before_retry_uses_the_injected_sleep(self):
-        slept = []
-        policy = ResiliencePolicy(
-            retry_backoff_seconds=0.2, sleep=slept.append
-        )
-        delay = policy.pause_before_retry(2, token=3)
-        assert slept == [delay]
-        assert delay == pytest.approx(0.4)
-
-    def test_invalid_backoff_cap_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ResiliencePolicy(retry_backoff_max_seconds=0.0)
-
-    def test_jittered_retries_flow_through_the_pipeline(self):
-        """A flaky chunk's retries wait the policy's jittered delays."""
-        slept = []
-        config = IsobarConfig(
-            codec="zlib",
-            linearization=Linearization.ROW,
-            chunk_elements=_CHUNK,
-            resilience=ResiliencePolicy(
-                max_attempts=3,
-                retry_backoff_seconds=0.05,
-                retry_jitter=True,
-                retry_jitter_seed=4,
-                breaker_threshold=100,  # keep the breaker out of the way
-                sleep=slept.append,
-            ),
-        )
-        rng = np.random.default_rng(0)
-        values = build_structured(2 * _CHUNK, np.dtype(np.float64), 3, rng)
-        with chaos_codec(FlakyCodec("zlib", fail_percent=100.0)):
-            result = IsobarCompressor(config).compress_detailed(values)
-        assert result.degraded
-        # Two chunks x two retries each, every delay inside the
-        # jitter envelope for its retry number.
-        assert len(slept) == 4
-        for delay in slept:
-            assert 0.0 <= delay <= 0.1
 
 
 class TestBreakerSnapshots:

@@ -355,7 +355,7 @@ class TestStreamingResilience:
         from repro.testing.chaos import FlakyCodec, chaos_codec
 
         config = self._pinned(
-            resilience=ResiliencePolicy(strict=True, max_attempts=1)
+            resilience=ResiliencePolicy(strict=True)
         )
         with chaos_codec(FlakyCodec("zlib", fail_percent=100.0)):
             with pytest.raises(CodecError):

@@ -167,7 +167,7 @@ def test_deferred_chunk_error_leaves_no_files(tmp_path, monkeypatch):
     monkeypatch.setattr(repro.api, "usable_cpus", lambda: 2)
     config = IsobarConfig(
         codec="zlib", linearization=Linearization.ROW, chunk_elements=5_000,
-        resilience=ResiliencePolicy(strict=True, max_attempts=1),
+        resilience=ResiliencePolicy(strict=True),
     )
     path = tmp_path / "s.isobar"
     rng = np.random.default_rng(5)

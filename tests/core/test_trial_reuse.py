@@ -126,7 +126,7 @@ class TestReusePath:
 
     def test_open_breaker_still_degrades(self, single_chunk):
         policy = ResiliencePolicy(
-            max_attempts=1, breaker_threshold=1, breaker_probe_after=10_000,
+            breaker_threshold=1, breaker_probe_after=10_000,
         )
         compressor = IsobarCompressor(_pinned(policy))
         compressor.breakers.for_codec("zlib").record_failure()
@@ -147,14 +147,13 @@ class TestReusePath:
                 single_chunk
             )
         assert result.degradation.degraded_chunks == 1
-        assert result.chunks[0].attempts == policy.max_attempts
+        assert result.chunks[0].attempts == 1
         restored = repro.decompress(result.payload)
         assert np.array_equal(restored, single_chunk)
 
     def test_trial_slower_than_deadline_is_not_reused(self, single_chunk):
         policy = ResiliencePolicy(
-            max_attempts=1, chunk_deadline_seconds=0.05,
-            breaker_threshold=100,
+            chunk_deadline_seconds=0.05, breaker_threshold=100,
         )
         hanging = HangingCodec("zlib", hang_seconds=0.3, hang_percent=100.0)
         with chaos_codec(hanging):

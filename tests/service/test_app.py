@@ -116,6 +116,51 @@ class TestRoundTrips:
         assert excinfo.value.status == 422
 
 
+class TestServiceMemory:
+    def test_decompress_memoises_no_chunk(self, service, monkeypatch):
+        import repro.service.app as app
+
+        readers = []
+
+        class RecordingFile(app.ContainerFile):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                readers.append(self)
+
+        handle, client = service
+        data = _values(20_000)  # 10 chunks of 2048
+        payload = client.compress(data).payload
+        monkeypatch.setattr(app, "ContainerFile", RecordingFile)
+        assert np.array_equal(client.decompress(payload), data)
+        assert [r.n_chunks for r in readers] == [10]
+        # Each chunk is streamed once; none stays memoised.
+        assert readers[0].cached_chunks == 0
+
+    def test_override_caches_stay_bounded(self, service):
+        from repro.service.app import _CACHED_OVERRIDE_SETS as bound
+
+        handle, client = service
+        data = _values(2_000)
+        taus = [10.0 + i for i in range(bound + 4)]
+        for tau in taus:
+            client.compress(data, tau=tau)
+            response = client.request(
+                "POST", f"/v1/plan?dtype=float64&tau={tau}", data.tobytes()
+            )
+            assert response.status == 200
+        service_obj = handle.service
+        for cache in (service_obj._compressors, service_obj._planners):
+            assert len(cache) == bound
+            kept = [dict(key)["tau"] for key in cache]
+            assert kept == taus[-bound:]  # least recently used evicted
+        # A hit refreshes its entry instead of building a new one.
+        first = service_obj._compressor_for({"tau": taus[-bound]})
+        assert service_obj._compressor_for({"tau": taus[-bound]}) is first
+        assert dict(next(reversed(service_obj._compressors)))["tau"] == (
+            taus[-bound]
+        )
+
+
 class TestRequestValidation:
     def test_missing_dtype_is_400(self, service):
         _, client = service

@@ -5,9 +5,15 @@ fake and ``sleep`` is captured, so every delay decision is asserted
 exactly — no wall-clock waits.
 """
 
+import random
+
 import pytest
 
-from repro.service.client import ClientResponse, ServiceClient
+from repro.service.client import (
+    ClientResponse,
+    ServiceClient,
+    full_jitter_backoff,
+)
 from repro.service.errors import ServiceUnavailableError
 
 
@@ -152,3 +158,25 @@ class TestBackoffDeterminism:
         for retry_number, delay in enumerate(slept, start=1):
             envelope = min(0.1 * 2 ** (retry_number - 1), 0.4)
             assert 0.0 <= delay <= envelope
+
+
+class TestFullJitterBackoff:
+    def test_without_rng_returns_the_envelope(self):
+        assert full_jitter_backoff(0.1, 1) == pytest.approx(0.1)
+        assert full_jitter_backoff(0.1, 2) == pytest.approx(0.2)
+        assert full_jitter_backoff(0.1, 3) == pytest.approx(0.4)
+
+    def test_cap_bounds_the_envelope(self):
+        assert full_jitter_backoff(0.1, 10, cap_seconds=0.5) == 0.5
+
+    def test_degenerate_inputs_are_zero(self):
+        assert full_jitter_backoff(0.0, 3) == 0.0
+        assert full_jitter_backoff(0.1, 0) == 0.0
+
+    def test_rng_draws_from_the_full_interval(self):
+        rng = random.Random(0)
+        draws = [
+            full_jitter_backoff(0.1, 3, rng=rng) for _ in range(200)
+        ]
+        assert all(0.0 <= d <= 0.4 for d in draws)
+        assert min(draws) < 0.1 and max(draws) > 0.3  # actually spread

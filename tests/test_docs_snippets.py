@@ -3,7 +3,9 @@
 Reuses the driver from ``benchmarks/run_docs_snippets.py``: every
 fenced block tagged ``python runnable`` in the docs tree is executed
 in isolation, so the examples the docs commit to can never rot.  Each
-snippet is its own parametrized test case for readable failures.
+snippet is its own parametrized test case for readable failures, named
+``file#heading-slug-N`` so prose edits elsewhere in a file keep the
+name; failure messages locate the snippet as ``file:line``.
 """
 
 import sys
@@ -26,7 +28,7 @@ _SNIPPETS = collect_snippets(_REPO_ROOT)
 
 
 @pytest.mark.parametrize(
-    "snippet", _SNIPPETS, ids=[s.label for s in _SNIPPETS]
+    "snippet", _SNIPPETS, ids=[s.test_id for s in _SNIPPETS]
 )
 def test_docs_snippet_executes(snippet):
     failure = run_snippet(snippet)
@@ -63,6 +65,39 @@ def test_extractor_finds_tagged_blocks_only(tmp_path):
     assert [s.lineno for s in snippets] == [2, 11]
     assert snippets[0].source == "x = 1\n"
     assert snippets[1].source == "y = 2\n"
+
+
+def test_snippet_ids_follow_the_nearest_heading(tmp_path):
+    doc = tmp_path / "ids.md"
+    body = [
+        "```python runnable",
+        "a = 0",
+        "```",
+        "## Round trips & `errors=`",
+        "```bash",
+        "# not a heading",
+        "```",
+        "```python runnable",
+        "b = 1",
+        "```",
+        "```python runnable",
+        "c = 2",
+        "```",
+    ]
+    doc.write_text("\n".join(body), encoding="utf-8")
+    ids = [s.test_id for s in extract_snippets(doc, tmp_path)]
+    assert ids == [
+        "ids.md#1",
+        "ids.md#round-trips--errors-1",
+        "ids.md#round-trips--errors-2",
+    ]
+    # Prose added in another section moves the lines, not the ids.
+    doc.write_text(
+        "\n".join(["# Intro", "new prose", ""] + body), encoding="utf-8"
+    )
+    moved = extract_snippets(doc, tmp_path)
+    assert [s.test_id for s in moved][1:] == ids[1:]
+    assert moved[1].label == "ids.md:11"
 
 
 def test_extractor_rejects_unterminated_fence(tmp_path):

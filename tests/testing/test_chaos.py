@@ -56,7 +56,7 @@ class TestFlakyCodec:
 
     def test_doomed_payload_always_fails(self):
         flaky = FlakyCodec("zlib", fail_percent=100.0)
-        for _ in range(3):  # retries of a doomed payload keep failing
+        for _ in range(3):  # every call on a doomed payload fails
             with pytest.raises(ChaosCodecError):
                 flaky.compress(_DATA)
         assert flaky.failures == 3
