@@ -13,7 +13,9 @@ and leaves all rendered artefacts in ``benchmarks/results/``.
 gates instead — the invariant linter (``isobar lint``), the docs link
 checker, the docs snippet executor, an ``isobar fsck`` of a freshly
 written archive (the self-healing container gate), the selector
-smoke (predict-first decisions must beat the EUPA probe), and the
+smoke (predict-first decisions must beat the EUPA probe), the bzip2
+sort-rule gate (every sweep block matches ``bz2.compress`` and no
+block's repeat share sits within 0.04 of the threshold), and the
 concurrency sanitizer smoke (``isobar sanitize --smoke`` must come
 back clean, and a seeded lock inversion must turn the report dirty)::
 
@@ -76,7 +78,8 @@ print("seeded inversion caught:", report.lock_cycles[0]["path"])
 
 
 def run_checks(bench_dir: Path, env: dict) -> int:
-    """The static gates: linter, docs links/snippets, archive fsck."""
+    """The static gates: linter, docs links/snippets, archive fsck,
+    selector smoke, bzip2 sort rule and sanitizer."""
     repo_root = bench_dir.parent
     src = str(repo_root / "src")
     env = dict(env)
@@ -94,6 +97,8 @@ def run_checks(bench_dir: Path, env: dict) -> int:
          [sys.executable, "-c", _FSCK_CHECK]),
         ("selector smoke (staged probe vs EUPA oracle)",
          [sys.executable, str(bench_dir / "run_selector.py"), "--smoke"]),
+        ("bzip2 sort rule (bz2 identity, threshold margin)",
+         [sys.executable, str(bench_dir / "run_bzip2_sweep.py"), "--check"]),
         ("concurrency sanitizer smoke (isobar sanitize --smoke)",
          [sys.executable, str(bench_dir / "run_sanitizer.py")]),
         ("sanitizer self-test (seeded inversion must be caught)",

@@ -8,12 +8,13 @@ preconditioner is solver-agnostic.
 
 bzip2 compression calls the libbz2 that CPython's ``_bz2`` links
 directly (through :mod:`ctypes`), because only the C API exposes the
-block sort's ``workFactor``.  An input longer than one bzip2 block is
-cut where :func:`bz2.compress` starts each block, the blocks are
-compressed on their own (with idle engine workers' help, see
-:func:`~repro.core.pipeline_engine.share_blocks`) and spliced into one
-stream, so the output is byte-identical to :func:`bz2.compress` for
-every input (see :class:`Bzip2Codec`).
+block sort's ``workFactor``, which each block gets from how much it
+repeats itself (:func:`bzip2_work_factor`).  An input longer than one
+bzip2 block is cut where :func:`bz2.compress` starts each block, the
+blocks are compressed on their own (with idle engine workers' help,
+see :func:`~repro.core.pipeline_engine.share_blocks`) and spliced into
+one stream, so the output is byte-identical to :func:`bz2.compress`
+for every input (see :class:`Bzip2Codec`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import ctypes
 import functools
 import lzma
 import zlib
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +39,8 @@ __all__ = [
     "IsalZlibCodec",
     "bzip2_binding_description",
     "bzip2_block_starts",
+    "bzip2_repeat_share",
+    "bzip2_work_factor",
     "isal_available",
 ]
 
@@ -88,10 +91,29 @@ class ZlibCodec(Codec):
 #: on repetitive input before it switches to the fallback sort.  The
 #: bzip2 manual (``BZ2_bzCompressInit``): "the compressed output
 #: generated is the same regardless of whether or not the fallback
-#: algorithm is used", so this moves speed only.  Chosen by an
-#: interleaved sweep against the library default of 30
+#: algorithm is used", so this moves speed only.  A block that does
+#: not repeat itself gets 7, from an interleaved sweep against the
+#: library default of 30; a block that does gets 1, no main-sort
+#: budget, so libbz2 goes straight to the fallback sort instead of
+#: first spending the budget and throwing the main sort's work away
 #: (docs/performance.md, "bzip2 sort budget").
 _BZ2_WORK_FACTOR = 7
+_BZ2_REPEAT_WORK_FACTOR = 1
+#: A block whose repeat share exceeds this takes the fallback sort
+#: straight away.  The blocks of ``benchmarks/run_bzip2_sweep.py``
+#: read at most 0.785 or at least 0.946 (seeds 21 and 7321).
+_REPEAT_THRESHOLD = 0.9
+#: Shorter blocks keep :data:`_BZ2_WORK_FACTOR` without the statistic:
+#: libbz2 sorts a block of fewer than 10,000 bytes with the fallback
+#: sort whatever the budget.
+_REPEAT_MIN_BYTES = 10_000
+#: The statistic compares each sampled byte with the 1st .. 16th
+#: byte before it ...
+_REPEAT_LAGS = 16
+#: ... over the whole block up to 64 KiB, else over 16 windows of
+#: 4 KiB spread evenly across it.
+_REPEAT_WINDOWS = 16
+_REPEAT_WINDOW = 4096
 _BZ_OK = 0
 _UINT_MAX = 2**32 - 1
 
@@ -116,7 +138,10 @@ def _bz2_binding() -> tuple[Any, str]:
         ctypes.c_int,                    # workFactor
     ]
     fn.restype = ctypes.c_int
-    return fn, f"libbz2 via ctypes (workFactor {_BZ2_WORK_FACTOR})"
+    return fn, (
+        f"libbz2 via ctypes (workFactor {_BZ2_REPEAT_WORK_FACTOR} for blocks "
+        f"with repeat share > {_REPEAT_THRESHOLD}, else {_BZ2_WORK_FACTOR})"
+    )
 
 
 def bzip2_binding_description() -> str:
@@ -132,20 +157,62 @@ def _byte_array(data: Any) -> np.ndarray:
     return np.frombuffer(view, np.uint8)
 
 
-def _bz2_compress(
-    data: Any, level: int, work_factor: int = _BZ2_WORK_FACTOR
-) -> bytes:
-    """``BZ2_bzBuffToBuffCompress`` of ``data`` with the bounded sort
-    budget: :func:`bz2.compress`'s bytes whenever the input makes one
-    block (see :func:`bzip2_block_starts`).
+def _lag_shares(data: Any) -> Iterator[float]:
+    """For lags 1..16 in turn, the share of sampled bytes of ``data``
+    equal to the byte that lag before them.
+
+    The sample is the whole input up to 64 KiB, else 16 windows of
+    4 KiB spread evenly over it; bytes are compared only inside their
+    window, so a lag costs about 12 us whatever the input size.
+    """
+    a = _byte_array(data)
+    if a.size <= _REPEAT_WINDOWS * _REPEAT_WINDOW:
+        sample = a.reshape(1, -1)
+    else:
+        step = a.size // _REPEAT_WINDOWS
+        sample = a[:_REPEAT_WINDOWS * step].reshape(_REPEAT_WINDOWS, step)
+        sample = sample[:, :_REPEAT_WINDOW]
+    equal = np.empty(sample.shape, bool)
+    for lag in range(1, min(_REPEAT_LAGS, sample.shape[1] - 1) + 1):
+        same = equal[:, lag:]
+        np.equal(sample[:, lag:], sample[:, :-lag], out=same)
+        yield np.count_nonzero(same) / same.size
+
+
+def bzip2_repeat_share(data: Any) -> float:
+    """How much ``data`` repeats itself at a short lag: the largest
+    share, over lags 1..16, of sampled bytes equal to the byte that
+    lag before them (0.0 for fewer than two bytes)."""
+    return max(_lag_shares(data), default=0.0)
+
+
+def bzip2_work_factor(data: Any) -> int:
+    """The ``workFactor`` :class:`Bzip2Codec` gives the block ``data``:
+    1 when it repeats itself (:func:`bzip2_repeat_share` above 0.9),
+    else 7.
+
+    The first lag above the threshold decides, so a block of runs
+    stops after lag 1.  Blocks under 10,000 bytes get 7 without the
+    statistic.
+    """
+    a = _byte_array(data)
+    if a.size >= _REPEAT_MIN_BYTES and any(
+        share > _REPEAT_THRESHOLD for share in _lag_shares(a)
+    ):
+        return _BZ2_REPEAT_WORK_FACTOR
+    return _BZ2_WORK_FACTOR
+
+
+def _bz2_compress(data: Any, level: int, work_factor: int) -> bytes:
+    """``BZ2_bzBuffToBuffCompress`` of ``data`` with the sort budget
+    ``work_factor``: :func:`bz2.compress`'s bytes whenever the input
+    makes one block (see :func:`bzip2_block_starts`).
 
     Falls back to :func:`bz2.compress` when the library cannot be bound,
     the input's size (plus the output slack) exceeds a ``c_uint``, or
     the call does not return ``BZ_OK``.  A contiguous buffer (a block's
     ``memoryview`` slice) reaches libbz2 without a copy.
     ctypes releases the GIL for the call, so worker threads overlap.
-    ``work_factor`` is a parameter only for
-    ``benchmarks/run_bzip2_sweep.py``.
     """
     fn = _bz2_binding()[0]
     if fn is None:
@@ -412,15 +479,18 @@ def _splice_bz2_streams(streams: Sequence[bytes], level: int) -> bytes:
 class Bzip2Codec(Codec):
     """Burrows-Wheeler + Huffman via libbz2 — the paper's high-ratio solver.
 
-    Compression calls libbz2 with a smaller ``workFactor`` than
-    :func:`bz2.compress` uses, one block at a time: an input longer
-    than one block is cut at :func:`bzip2_block_starts`, each block is
+    Compression calls libbz2 one block at a time: an input longer than
+    one block is cut at :func:`bzip2_block_starts`, each block is
     compressed by a call of this method on its ``memoryview`` slice
     (on an engine worker, idle workers take some of them, see
     :func:`~repro.core.pipeline_engine.share_blocks`) and the blocks
-    are spliced into one stream.  Decompression is
+    are spliced into one stream.  Each block gets a smaller
+    ``workFactor`` than :func:`bz2.compress` uses, from
+    :func:`bzip2_work_factor`: 1 (straight to the fallback sort) when
+    the block repeats itself, else 7.  Decompression is
     :func:`bz2.decompress`.  Both produce and accept exactly the bytes
-    of the ``bz2`` module, whichever backend or thread ran a block.
+    of the ``bz2`` module, whichever backend, thread or sort ran a
+    block.
     """
 
     releases_gil = True
@@ -440,7 +510,9 @@ class Bzip2Codec(Codec):
         source = _byte_array(data)
         starts = bzip2_block_starts(source, self._level)
         if len(starts) == 1:
-            return _bz2_compress(source, self._level)
+            return _bz2_compress(
+                source, self._level, bzip2_work_factor(source)
+            )
         view = memoryview(source)
         blocks = [
             view[start:end]

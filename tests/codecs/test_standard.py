@@ -2,6 +2,7 @@
 
 import bz2
 import functools
+import math
 import threading
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core.exceptions import CodecError, ConfigurationError
 from repro.core.preferences import IsobarConfig
 from repro.core.selector import EupaSelector
 from repro.datasets.registry import dataset_names, generate_dataset
+from repro.datasets.synthetic import build_repetitive, build_structured
 
 ALL_CODECS = [ZlibCodec(), Bzip2Codec(), LzmaCodec()]
 
@@ -162,6 +164,23 @@ BLOCK_EDGE_INPUTS = {
 }
 
 
+#: name -> (builder(n, rng), the workFactor its blocks get): raw float64
+#: bytes on each side of the repeat-share threshold (about 0.97 and 0.25).
+SORT_BRANCHES = {
+    "repetitive": (lambda n, rng: build_repetitive(n, np.float64, rng), 1),
+    "structured": (
+        lambda n, rng: build_structured(n, np.float64, 3, rng), 7
+    ),
+}
+
+
+def _branch_input(branch, level, blocks):
+    """About ``blocks`` level-``level`` blocks of ``branch`` bytes."""
+    build, _ = SORT_BRANCHES[branch]
+    n = int(blocks * 100_000 * level / 8)
+    return build(n, np.random.default_rng(level)).tobytes()
+
+
 @pytest.fixture(scope="module")
 def registry_solver_inputs():
     """Each registry dataset's bzip2 solver input, as the pipeline builds it.
@@ -198,6 +217,53 @@ class TestBzip2Binding:
         level, build = BLOCK_EDGE_INPUTS[name]
         data = build()
         assert Bzip2Codec(level).compress(data) == bz2.compress(data, level)
+
+    @pytest.mark.parametrize(
+        "blocks", [0.5, 2.5], ids=["one-block", "three-blocks"]
+    )
+    @pytest.mark.parametrize("level", [1, 9])
+    @pytest.mark.parametrize("branch", sorted(SORT_BRANCHES))
+    def test_both_sort_branches_match_bz2_module(self, branch, level, blocks):
+        data = _branch_input(branch, level, blocks)
+        starts = standard.bzip2_block_starts(data, level)
+        assert len(starts) == math.ceil(blocks)
+        assert Bzip2Codec(level).compress(data) == bz2.compress(data, level)
+
+    @pytest.mark.parametrize("branch", sorted(SORT_BRANCHES))
+    def test_every_block_gets_its_branchs_work_factor(
+        self, monkeypatch, branch
+    ):
+        fn, description = standard._bz2_binding()
+        if fn is None:
+            pytest.skip(description)
+        factors = []
+
+        def spy(*args):
+            factors.append(args[6])  # dest, destLen, source, ..., workFactor
+            return fn(*args)
+
+        monkeypatch.setattr(standard, "_bz2_binding", lambda: (spy, description))
+        data = _branch_input(branch, 1, 2.5)
+        assert Bzip2Codec(1).compress(data) == bz2.compress(data, 1)
+        assert factors == [SORT_BRANCHES[branch][1]] * 3
+
+    def test_blocks_under_10000_bytes_skip_the_statistic(self, monkeypatch):
+        sizes = []
+        real = standard._lag_shares
+
+        def spy(data):
+            sizes.append(len(data))
+            return real(data)
+
+        monkeypatch.setattr(standard, "_lag_shares", spy)
+        assert standard.bzip2_work_factor(b"\x42" * 9_999) == 7
+        assert sizes == []
+        assert standard.bzip2_work_factor(b"\x42" * 10_000) == 1
+        assert sizes == [10_000]
+        # a full block, then a one-byte block
+        data = _filled_on_last_byte(1)
+        assert Bzip2Codec(1).compress(data) == bz2.compress(data, 1)
+        assert sizes == [10_000, len(data) - 1]
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_filled_block_closes_before_the_pending_run(self, level):
