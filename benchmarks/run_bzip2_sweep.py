@@ -21,7 +21,9 @@ the median over repetitions of its paired ratio (the column's CPU time
 over its blocks / the fixed 7's), so drift in machine speed between
 pairs cancels.  Times are process CPU time rather than wall time,
 which keeps other tenants' preemption out of a single-threaded
-measurement.  Every column is first checked to produce ``bz2.compress``
+measurement.  Each side of a pair repeats its call until it has used
+at least 20 ms of CPU and reports the time per call, so blocks of
+about a millisecond are not timed from a single, possibly cold, call.  Every column is first checked to produce ``bz2.compress``
 output byte for byte.
 
 Canonical invocation (prints the tables in ``docs/performance.md``)::
@@ -201,10 +203,21 @@ def rule(block: memoryview) -> bytes:
     return _bz2_compress(block, LEVEL, bzip2_work_factor(block))
 
 
+#: CPU time each side of a timed pair spends on its block, at least.
+_MIN_CPU_SECONDS = 0.020
+
+
 def _cpu_seconds(compress: Compress, block: memoryview) -> float:
+    """CPU seconds per ``compress(block)`` call, over as many calls as
+    make up :data:`_MIN_CPU_SECONDS`."""
+    calls = 0
     start = time.process_time()
-    compress(block)
-    return time.process_time() - start
+    while True:
+        compress(block)
+        calls += 1
+        elapsed = time.process_time() - start
+        if elapsed >= _MIN_CPU_SECONDS:
+            return elapsed / calls
 
 
 def sweep(

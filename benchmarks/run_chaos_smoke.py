@@ -11,8 +11,9 @@ contract of :mod:`repro.core.resilience`:
   chunks whose solver payload the chaos trigger dooms, and each doomed
   chunk calls the codec once (no retry);
 * ``isobar_chunks_degraded_total`` matches the injected fault count;
-* the circuit breaker opens after K *consecutive* failures and routes
-  subsequent chunks straight to the fallback (with half-open probes);
+* a chunk's encoding depends only on its bytes: serial, 2 and 4
+  engine workers, the streaming writer and a second run on the same
+  compressor write one container, byte for byte;
 * the resulting container decodes **bit-exactly** through all four
   readers — strict serial, parallel, streaming and salvage — in a
   *pristine* process (the chaos wrapper shadows the real codec name,
@@ -30,6 +31,7 @@ driver backs the ``chaos``-marked pytest tests (``pytest -m chaos``).
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import tempfile
@@ -39,19 +41,13 @@ import numpy as np
 from repro.core.parallel import ParallelIsobarCompressor
 from repro.core.pipeline import IsobarCompressor
 from repro.core.preferences import IsobarConfig, Linearization
-from repro.core.resilience import BreakerState, ResiliencePolicy
+from repro.core.resilience import ResiliencePolicy
 from repro.core.salvage import salvage_decompress
-from repro.core.stream import stream_decompress
+from repro.core.stream import StreamingWriter, stream_decompress
 from repro.datasets.synthetic import build_structured
-from repro.testing.chaos import (
-    FlakyCodec,
-    HangingCodec,
-    chaos_codec,
-    solver_payloads,
-)
+from repro.testing.chaos import FlakyCodec, chaos_codec, solver_payloads
 
 _CHUNK_ELEMENTS = 2048
-_DEGRADATION_CAUSES = ("error", "timeout", "breaker_open")
 
 
 def _build_values(seed: int, n_chunks: int = 10) -> np.ndarray:
@@ -100,11 +96,11 @@ def _pick_fault_seed(payloads, make_trigger, start: int):
 
 
 def _degraded_total(compressor) -> float:
-    """Sum of ``isobar_chunks_degraded_total`` across all causes."""
+    """``isobar_chunks_degraded_total`` (its one cause, ``error``)."""
     counter = compressor.metrics.get("isobar_chunks_degraded_total")
     if counter is None:
         return 0.0
-    return sum(counter.value(cause=c) for c in _DEGRADATION_CAUSES)
+    return counter.value(cause="error")
 
 
 def _check_all_readers(
@@ -146,8 +142,7 @@ def scenario_flaky(seed: int) -> list[str]:
     """Partial flakiness: doomed chunks degrade, the rest stay healthy."""
     failures: list[str] = []
     tag = f"scenario=flaky seed={seed}"
-    policy = ResiliencePolicy(breaker_threshold=10_000)
-    config = _base_config(policy)
+    config = _base_config(ResiliencePolicy())
     values = _build_values(seed)
 
     fault_seed, doomed = _pick_fault_seed(
@@ -173,9 +168,7 @@ def scenario_flaky(seed: int) -> list[str]:
         )
     # Each doomed chunk calls the codec once: every failed call hit a
     # payload no earlier call had failed on.
-    if flaky.failures != flaky.unique_failed_payloads or any(
-        event.attempts != 1 for event in result.degradation.events
-    ):
+    if flaky.failures != flaky.unique_failed_payloads:
         failures.append(
             f"{tag}: {flaky.failures} failed codec calls on "
             f"{flaky.unique_failed_payloads} payloads; expected one "
@@ -198,113 +191,69 @@ def scenario_flaky(seed: int) -> list[str]:
     return failures
 
 
-def scenario_hang(seed: int) -> list[str]:
-    """Hung solver calls: the chunk deadline fires, chunks degrade."""
+def _stream_container(values: np.ndarray, config: IsobarConfig) -> bytes:
+    """``values`` written one configured chunk at a time through
+    :class:`~repro.core.stream.StreamingWriter`."""
+    sink = io.BytesIO()
+    writer = StreamingWriter(sink, values.dtype, config)
+    for start in range(0, values.size, config.chunk_elements):
+        writer.write_chunk(values[start:start + config.chunk_elements])
+    writer.close()
+    return sink.getvalue()
+
+
+def scenario_determinism(seed: int) -> list[str]:
+    """A chunk's encoding depends only on its bytes: under a flaky codec
+    every mode writes one container and degrades exactly the doomed
+    chunks."""
     failures: list[str] = []
-    tag = f"scenario=hang seed={seed}"
-    policy = ResiliencePolicy(
-        chunk_deadline_seconds=0.05,
-        breaker_threshold=10_000,
-    )
-    config = _base_config(policy)
-    values = _build_values(seed + 1)
+    config = _base_config(ResiliencePolicy())
+    values = _build_values(seed + 2, n_chunks=40)
+    payloads = _payloads(values, config)
 
-    fault_seed, doomed = _pick_fault_seed(
-        _payloads(values, config),
-        lambda s: HangingCodec("zlib", hang_percent=20.0, seed=s),
-        seed * 1000,
-    )
-    hanging = HangingCodec(
-        "zlib", hang_seconds=0.4, hang_percent=20.0, seed=fault_seed
-    )
-
-    with chaos_codec(hanging):
-        compressor = IsobarCompressor(config, collect_metrics=True)
-        try:
-            result = compressor.compress_detailed(values)
-        except Exception as exc:  # noqa: BLE001
-            return [f"{tag}: compression failed to complete: "
-                    f"{type(exc).__name__}: {exc}"]
-
-    degraded = {event.chunk_index for event in result.degradation.events}
-    if degraded != doomed:
-        failures.append(
-            f"{tag}: degraded chunks {sorted(degraded)} != doomed "
-            f"{sorted(doomed)}"
+    for fail_percent in (30.0, 60.0):
+        tag = f"scenario=determinism seed={seed} fail={fail_percent:g}%"
+        fault_seed, doomed = _pick_fault_seed(
+            payloads,
+            lambda s: FlakyCodec("zlib", fail_percent=fail_percent, seed=s),
+            seed * 1000 + 1,
         )
-    for event in result.degradation.events:
-        if event.cause != "timeout":
+        flaky = FlakyCodec("zlib", fail_percent=fail_percent, seed=fault_seed)
+        containers: dict[str, bytes] = {}
+        with chaos_codec(flaky):
+            try:
+                serial = IsobarCompressor(config)
+                first = serial.compress_detailed(values)
+                containers["serial"] = first.payload
+                containers["serial again"] = serial.compress(values)
+                for n_workers in (2, 4):
+                    containers[f"{n_workers} workers"] = IsobarCompressor(
+                        config, n_workers
+                    ).compress(values)
+                containers["stream"] = _stream_container(values, config)
+            except Exception as exc:  # noqa: BLE001
+                failures.append(f"{tag}: compression failed to complete: "
+                                f"{type(exc).__name__}: {exc}")
+                continue
+
+        degraded = {event.chunk_index for event in first.degradation.events}
+        if degraded != doomed:
             failures.append(
-                f"{tag}: chunk {event.chunk_index} cause={event.cause}, "
-                f"expected timeout"
+                f"{tag}: degraded chunks {sorted(degraded)} != doomed "
+                f"{sorted(doomed)}"
             )
-    metric = _degraded_total(compressor)
-    if metric != len(doomed):
-        failures.append(
-            f"{tag}: isobar_chunks_degraded_total={metric}, "
-            f"expected {len(doomed)}"
-        )
-    _check_all_readers(result.payload, values, tag, failures)
-    return failures
-
-
-def scenario_breaker(seed: int) -> list[str]:
-    """Total codec outage: the breaker opens after K consecutive
-    failures, short-circuits the rest, and half-open probes keep
-    re-testing the (still broken) codec."""
-    failures: list[str] = []
-    tag = f"scenario=breaker seed={seed}"
-    threshold, probe_after = 3, 2
-    policy = ResiliencePolicy(
-        breaker_threshold=threshold,
-        breaker_probe_after=probe_after,
-    )
-    config = _base_config(policy)
-    values = _build_values(seed + 2)
-    n_chunks = len(_payloads(values, config))
-
-    with chaos_codec(FlakyCodec("zlib", fail_percent=100.0, seed=seed)):
-        compressor = IsobarCompressor(config, collect_metrics=True)
-        try:
-            result = compressor.compress_detailed(values)
-        except Exception as exc:  # noqa: BLE001
-            return [f"{tag}: compression failed to complete: "
-                    f"{type(exc).__name__}: {exc}"]
-        state = compressor.breakers.for_codec("zlib").state
-
-    if state is not BreakerState.OPEN:
-        failures.append(f"{tag}: breaker ended {state.value}, expected open")
-    if result.degradation.degraded_chunks != n_chunks:
-        failures.append(
-            f"{tag}: {result.degradation.degraded_chunks}/{n_chunks} "
-            f"chunks degraded under a total outage"
-        )
-    causes = [event.cause for event in result.degradation.events]
-    # Chunks 0..K-1 fail through the codec; the breaker then opens and
-    # alternates probe_after short-circuits with one failing probe.
-    expected: list[str] = []
-    while len(expected) < n_chunks:
-        if len(expected) < threshold:
-            expected.append("error")
-        elif (len(expected) - threshold) % (probe_after + 1) < probe_after:
-            expected.append("breaker_open")
-        else:
-            expected.append("error")  # the failed half-open probe
-    if causes != expected:
-        failures.append(f"{tag}: causes {causes} != expected {expected}")
-    if any(
-        event.cause == "breaker_open" and event.attempts != 0
-        for event in result.degradation.events
-    ):
-        failures.append(f"{tag}: breaker-open chunk reported attempts > 0")
-    _check_all_readers(result.payload, values, tag, failures)
+        for mode, payload in containers.items():
+            if payload != first.payload:
+                failures.append(
+                    f"{tag}: {mode} container differs from the serial one"
+                )
+        _check_all_readers(first.payload, values, tag, failures)
     return failures
 
 
 SCENARIOS = (
     ("flaky", scenario_flaky),
-    ("hang", scenario_hang),
-    ("breaker", scenario_breaker),
+    ("determinism", scenario_determinism),
 )
 
 
@@ -316,7 +265,7 @@ def run(seed: int = 0, *, verbose: bool = True) -> list[str]:
         failures.extend(scenario_failures)
         if verbose:
             status = "FAIL" if scenario_failures else "ok"
-            print(f"scenario {name:8s} seed={seed:<6d} {status}")
+            print(f"scenario {name:11s} seed={seed:<6d} {status}")
     return failures
 
 

@@ -837,19 +837,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service.app import (
-        DEFAULT_SERVICE_POLICY,
-        IsobarService,
-        ServiceConfig,
-    )
+    from repro.service.app import IsobarService, ServiceConfig
     from repro.service.chaos import NetworkChaos, NetworkChaosPolicy
 
-    # Serve with the service default (a chunk deadline), then layer
-    # ``--strict`` on top.
-    config = _apply_strict(
-        _config_from_args(args).replace(resilience=DEFAULT_SERVICE_POLICY),
-        args,
-    )
+    config = _apply_strict(_config_from_args(args), args)
 
     chaos = None
     if (

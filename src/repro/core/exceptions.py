@@ -75,12 +75,10 @@ class UnknownCodecError(CodecError, KeyError):
 
 
 class ChunkTimeoutError(CodecError):
-    """A solver call exceeded the per-chunk deadline.
+    """A call exceeded its wall-clock deadline.
 
-    Raised by :func:`repro.core.resilience.call_with_deadline` when a
-    codec does not return within ``ResiliencePolicy.chunk_deadline_seconds``.
-    The resilience layer treats it like any other solver failure (the
-    chunk degrades); under a strict policy it propagates.
+    Raised by :func:`repro.core.resilience.call_with_deadline` when the
+    call does not return in time; the service answers it with 504.
     """
 
 

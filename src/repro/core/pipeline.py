@@ -54,7 +54,6 @@ from repro.core.analyzer import AnalysisResult, analyze, analyze_matrix
 from repro.core.chunking import iter_chunks
 from repro.core.exceptions import (
     ChecksumError,
-    ChunkTimeoutError,
     CodecError,
     ConfigurationError,
     ContainerFormatError,
@@ -81,12 +80,9 @@ from repro.core.preferences import (
     salvage_policy_for,
 )
 from repro.core.resilience import (
-    BreakerBoard,
-    BreakerState,
     DegradationEvent,
     DegradationReport,
     ResiliencePolicy,
-    call_with_deadline,
 )
 from repro.core.selector import (
     SelectorDecision,
@@ -272,11 +268,9 @@ class EncodedChunk:
     #: ``codec.name`` on the healthy path, else ``"zlib-fallback"``/``"raw"``.
     encoding: str
     degraded: bool
-    #: Primary-codec tries made: 0 when the breaker was open, else 1.
-    attempts: int
-    #: Degradation cause (``"error"``/``"timeout"``/``"breaker_open"``).
+    #: Degradation cause (``"error"``) or None.
     cause: str | None = None
-    #: Message of the last primary-codec error, when there was one.
+    #: Message of the primary-codec error, when there was one.
     error: str | None = None
 
 
@@ -284,7 +278,6 @@ def _fallback_streams(
     chunk: np.ndarray,
     raw: bytes | np.ndarray,
     linearization: Linearization,
-    deadline: float | None,
     try_zlib: bool,
 ) -> tuple[ChunkMode, np.ndarray, bytes, bytes, int, str]:
     """Degraded encodings: stdlib zlib first (when ``try_zlib``), raw
@@ -299,9 +292,7 @@ def _fallback_streams(
     all_false = np.zeros(chunk.dtype.itemsize, dtype=bool)
     if try_zlib:
         try:
-            compressed = call_with_deadline(
-                lambda data: _zlib.compress(data, 6), raw, deadline
-            )
+            compressed = _zlib.compress(raw, 6)
             return (
                 ChunkMode.FALLBACK_ZLIB, all_false, compressed, b"",
                 _buffer_nbytes(raw), "zlib-fallback",
@@ -323,7 +314,6 @@ def encode_chunk_payload(
     codec: Codec,
     *,
     policy: ResiliencePolicy | None = None,
-    breakers: BreakerBoard | None = None,
     chunk_index: int = 0,
     tracer: AnyTracer = NULL_TRACER,
     workspace: ChunkWorkspace | None = None,
@@ -344,20 +334,20 @@ def encode_chunk_payload(
     consumed before its next use.
 
     With a :class:`~repro.core.resilience.ResiliencePolicy` the solver
-    call is fault-contained: one try under an optional per-chunk
-    deadline, gated by the codec's circuit breaker.  On an error, a
-    timeout or a round-trip mismatch the chunk *degrades* at once
-    through the fallback chain — stdlib ``zlib``, then raw passthrough
-    — instead of failing the run; the codec's verdict depends only on
-    the chunk's bytes, so a second try would fail too.  A strict policy
-    raises :class:`~repro.core.exceptions.CodecError` instead.
+    call is fault-contained: one try, and on an error or a round-trip
+    mismatch the chunk *degrades* at once through the fallback chain —
+    stdlib ``zlib``, then raw passthrough — instead of failing the run.
+    This is the only place a chunk degrades, and its verdict depends
+    only on the chunk's bytes and the configuration: a second try would
+    fail too, and no earlier chunk, clock or worker thread enters it,
+    so every mode writes the same container.  A strict policy raises
+    :class:`~repro.core.exceptions.CodecError` instead.
 
     ``trial`` is the selector's winning trial (see
     :class:`~repro.core.selector.WinningTrial`).  Its output replaces
     the chunk's codec call when it was made by this codec object on
-    exactly this chunk's solver input, within the chunk deadline; the
-    breaker and verification apply to it unchanged, and its codec time
-    counts as the chunk's solve time.
+    exactly this chunk's solver input; verification applies to it
+    unchanged, and its codec time counts as the chunk's solve time.
     """
     raw_nbytes = _buffer_nbytes(raw)
     partition_seconds = 0.0
@@ -380,95 +370,65 @@ def encode_chunk_payload(
         incompressible = b""
         mode = ChunkMode.PASSTHROUGH
 
-    deadline = policy.chunk_deadline_seconds if policy is not None else None
-    breaker = (
-        breakers.for_codec(codec.name)
-        if policy is not None and breakers is not None
-        else None
-    )
     reused = (
         trial
         if trial is not None
         and trial.codec is codec
-        and (deadline is None or trial.compress_seconds <= deadline)
         and trial.solver_input == payload
         else None
     )
 
-    last_error: Exception | None = None
-    if breaker is not None and not breaker.allow():
-        attempts, cause = 0, "breaker_open"
-    else:
-        attempts = 1
-        solve_start = time.perf_counter()
-        try:
-            if reused is not None:
-                # The trial ran this very solve inside the selector.  Its
-                # codec time is this chunk's solve time, so the solve
-                # stage and ``solve_seconds`` still cover the solve.
-                compressed = reused.compressed
-                solve_start -= reused.compress_seconds
-                stage_start -= reused.compress_seconds
-            else:
-                compressed = call_with_deadline(
-                    codec.compress, payload, deadline
-                )
-            if policy is not None and policy.verify_roundtrip:
-                restored = call_with_deadline(
-                    codec.decompress, compressed, deadline
-                )
-                if restored != payload:
-                    raise CodecError(
-                        f"{codec.name}: round-trip verification failed "
-                        f"({len(restored)} bytes back, "
-                        f"{len(payload)} expected)"
-                    )
-        except Exception as exc:  # noqa: BLE001 - containment boundary
-            tracer.add("solve", time.perf_counter() - solve_start,
-                       bytes_in=len(payload))
-            if policy is None:
-                raise
-            if breaker is not None:
-                breaker.record_failure()
-            timed_out = isinstance(exc, ChunkTimeoutError)
-            cause, last_error = "timeout" if timed_out else "error", exc
+    solve_start = time.perf_counter()
+    try:
+        if reused is not None:
+            # The trial ran this very solve inside the selector.  Its
+            # codec time is this chunk's solve time, so the solve stage
+            # and ``solve_seconds`` still cover the solve.
+            compressed = reused.compressed
+            solve_start -= reused.compress_seconds
+            stage_start -= reused.compress_seconds
         else:
-            tracer.add(
-                "solve", time.perf_counter() - solve_start,
-                bytes_in=len(payload), bytes_out=len(compressed),
-            )
-            if breaker is not None:
-                breaker.record_success()
-            return EncodedChunk(
-                mode=mode,
-                mask=analysis.mask,
-                compressed=compressed,
-                incompressible=incompressible,
-                solver_bytes=len(payload),
-                partition_seconds=partition_seconds,
-                solve_seconds=time.perf_counter() - stage_start
-                - partition_seconds,
-                encoding=codec.name,
-                degraded=False,
-                attempts=1,
-            )
-
-    # The primary codec failed (or its breaker short-circuited the call).
-    assert policy is not None
-    if policy.strict:
-        if last_error is not None:
+            compressed = codec.compress(payload)
+        if policy is not None and policy.verify_roundtrip:
+            restored = codec.decompress(compressed)
+            if restored != payload:
+                raise CodecError(
+                    f"{codec.name}: round-trip verification failed "
+                    f"({len(restored)} bytes back, {len(payload)} expected)"
+                )
+    except Exception as exc:  # noqa: BLE001 - containment boundary
+        tracer.add("solve", time.perf_counter() - solve_start,
+                   bytes_in=len(payload))
+        if policy is None:
+            raise
+        if policy.strict:
             raise CodecError(
                 f"chunk {chunk_index}: {codec.name} failed after one try: "
-                f"{last_error}"
-            ) from last_error
-        raise CodecError(
-            f"chunk {chunk_index}: {codec.name} circuit breaker is open"
+                f"{exc}"
+            ) from exc
+        error = exc
+    else:
+        tracer.add(
+            "solve", time.perf_counter() - solve_start,
+            bytes_in=len(payload), bytes_out=len(compressed),
         )
+        return EncodedChunk(
+            mode=mode,
+            mask=analysis.mask,
+            compressed=compressed,
+            incompressible=incompressible,
+            solver_bytes=len(payload),
+            partition_seconds=partition_seconds,
+            solve_seconds=time.perf_counter() - stage_start
+            - partition_seconds,
+            encoding=codec.name,
+            degraded=False,
+        )
+
+    # The primary codec failed: degrade.
     solve_start = time.perf_counter()
     fb_mode, fb_mask, fb_comp, fb_incomp, fb_solver, fb_name = (
-        _fallback_streams(
-            chunk, raw, linearization, deadline, policy.fallback_zlib
-        )
+        _fallback_streams(chunk, raw, linearization, policy.fallback_zlib)
     )
     if policy.fallback_zlib:
         tracer.add(
@@ -485,9 +445,8 @@ def encode_chunk_payload(
         solve_seconds=time.perf_counter() - stage_start - partition_seconds,
         encoding=fb_name,
         degraded=True,
-        attempts=attempts,
-        cause=cause,
-        error=str(last_error) if last_error is not None else None,
+        cause="error",
+        error=str(error),
     )
 
 
@@ -516,11 +475,9 @@ class ChunkReport:
     encoding: str = ""
     #: True when the chunk fell back to a degraded encoding.
     degraded: bool = False
-    #: Primary-codec tries made (0 when the breaker short-circuited).
-    attempts: int = 1
-    #: Degradation cause (``error``/``timeout``/``breaker_open``) or None.
+    #: Degradation cause (``error``) or None.
     cause: str | None = None
-    #: Last primary-codec error message, when there was one.
+    #: Primary-codec error message, when there was one.
     error: str | None = None
 
 
@@ -640,7 +597,6 @@ def _degradation_from_reports(
         DegradationEvent(
             chunk_index=r.index,
             cause=r.cause or "error",
-            attempts=r.attempts,
             encoding=r.encoding,
             error=r.error,
         )
@@ -762,14 +718,6 @@ class IsobarCompressor:
         #: runner (None until one has executed); tests use
         #: ``peak_inflight`` to assert the backpressure bound held.
         self.last_runner_stats: RunnerStats | None = None
-        # One breaker board for the compressor's lifetime: breaker
-        # state persists across runs, the way an always-on ingest path
-        # needs it to.  The gauge callback is a no-op when metrics are
-        # disabled (null gauge).
-        self._breakers = BreakerBoard(
-            self._config.resilience,
-            on_state_change=self._record_breaker_state,
-        )
         # Reusable partition scratch, one per worker thread.
         self._workspaces = threading.local()
 
@@ -780,13 +728,6 @@ class IsobarCompressor:
             workspace = ChunkWorkspace()
             self._workspaces.workspace = workspace
         return workspace
-
-    def _record_breaker_state(
-        self, codec_name: str, state: BreakerState
-    ) -> None:
-        self._instruments.breaker_state.set(
-            state.gauge_value, codec=codec_name
-        )
 
     @property
     def config(self) -> IsobarConfig:
@@ -802,11 +743,6 @@ class IsobarCompressor:
     def max_inflight(self) -> int | None:
         """Configured backpressure bound (None = engine default)."""
         return self._max_inflight
-
-    @property
-    def breakers(self) -> BreakerBoard:
-        """The per-codec circuit breakers guarding this compressor."""
-        return self._breakers
 
     @property
     def collect_metrics(self) -> bool:
@@ -1016,49 +952,25 @@ class IsobarCompressor:
         jobs: Iterable[Any],
         fn: Callable[[int, Any], Any],
         runner: PipelinedBlockRunner | None,
-        *,
-        retry: bool,
     ) -> Iterator[Any]:
         """Lazily yield ``fn(seq, job)`` for every job, in order: the
         one chunk loop of every mode.  Inline without a ``runner``; on
         it (threads start now), workers run at most ``max_inflight``
-        jobs ahead.  A failed block never poisons the engine: with
-        ``retry`` under a resilience policy the job reruns serially
-        (which degrades the chunk instead of failing); otherwise, or if
-        that fails too, the runner is cancelled (queued jobs never
-        start) and the error raised in order."""
+        jobs ahead.  A failed block never poisons the engine: the
+        runner is cancelled (queued jobs never start) and the error
+        raised in order, as the inline loop raises it."""
         if runner is None:
             return (fn(seq, job) for seq, job in enumerate(jobs))
-        policy = self._config.resilience
-        pending: dict[int, Any] = {}
-
-        def fed() -> Iterator[Any]:
-            for seq, job in enumerate(jobs):
-                pending[seq] = job
-                yield job
-
-        blocks = runner.run(fed(), fn)
+        blocks = runner.run(jobs, fn)
 
         def settled() -> Iterator[Any]:
             assert runner is not None
             try:
                 for block in blocks:
-                    job = pending.pop(block.seq)
-                    if block.error is None:
-                        yield block.value
-                        continue
-                    if (
-                        not retry or policy is None or policy.strict
-                        or not isinstance(block.error, Exception)
-                    ):
+                    if block.error is not None:
                         runner.cancel()
                         raise block.error
-                    try:
-                        value = fn(block.seq, job)
-                    except Exception:
-                        runner.cancel()
-                        raise
-                    yield value
+                    yield block.value
             finally:
                 blocks.close()
 
@@ -1082,7 +994,7 @@ class IsobarCompressor:
                 trial=lead.trial if seq == 0 else None,
             )
 
-        return self._run_jobs(chunks, encode, runner, retry=True)
+        return self._run_jobs(chunks, encode, runner)
 
     def _compress_chunk(
         self,
@@ -1115,7 +1027,6 @@ class IsobarCompressor:
         encoded = encode_chunk_payload(
             chunk, view, analysis, decision.linearization, codec,
             policy=self._config.resilience,
-            breakers=self._breakers,
             chunk_index=index,
             tracer=tracer,
             workspace=self._workspace(),
@@ -1150,7 +1061,6 @@ class IsobarCompressor:
             noise_bytes=len(encoded.incompressible),
             encoding=encoded.encoding,
             degraded=encoded.degraded,
-            attempts=encoded.attempts,
             cause=encoded.cause,
             error=encoded.error,
         )
@@ -1202,7 +1112,7 @@ class IsobarCompressor:
             None if self._inline(header.n_chunks)
             else self._runner("isobar-decompress")
         )
-        return self._run_jobs(jobs, decode, runner, retry=False)
+        return self._run_jobs(jobs, decode, runner)
 
     def decompress(self, data: bytes, *, errors: str = "raise") -> np.ndarray:
         """Restore the exact original array from a container.

@@ -260,9 +260,9 @@ def share_blocks(
     worker, the items are offered to that runner's idle workers; the
     calling worker runs every item nobody has claimed, then waits for
     the claimed ones.  Anywhere else (an inline engine, the caller's
-    own thread, a deadline helper thread, an item being shared) the
-    items run serially on the calling thread.  Results keep the items'
-    order; the first failed item's exception is raised.
+    own thread, an item being shared) the items run serially on the
+    calling thread.  Results keep the items' order; the first failed
+    item's exception is raised.
     """
     board: _Board | None = getattr(_running, "board", None)
     if board is None or len(items) < 2:

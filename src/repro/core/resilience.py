@@ -9,24 +9,24 @@ raw passthrough — without changing the container format.  The
 guarantee becomes: compression never fails on encodable input; the
 worst case is ratio 1.0 plus a report.
 
-Three cooperating pieces live here:
+Two pieces live here:
 
-* :class:`ResiliencePolicy` — the knobs: an optional per-chunk
-  deadline, the fallback chain (codec → stdlib ``zlib`` → raw), and
-  strict mode (degradation becomes a hard failure).  Each chunk gets
-  one primary-codec try: the built-in codecs are in-process and their
+* :class:`ResiliencePolicy` — the knobs: the fallback chain (codec →
+  stdlib ``zlib`` → raw), round-trip verification and strict mode
+  (degradation becomes a hard failure).  Each chunk gets one
+  primary-codec try: the built-in codecs are in-process and their
   verdict depends only on the chunk's bytes, so a retry of a failed
-  chunk would fail again.
-* :class:`CodecCircuitBreaker` / :class:`BreakerBoard` — a per-codec
-  breaker that opens after K *consecutive* failing chunks and
-  routes the rest of the run straight to the fallback; after a number
-  of skipped chunks it lets one half-open probe through, closing again
-  on success.  Progress is chunk-count based (not wall-clock) so runs
-  are deterministic.
+  chunk would fail again.  Nothing else enters the verdict — no
+  history of earlier chunks, no wall clock, no worker thread — so a
+  chunk's encoding is a function of its bytes and the configuration,
+  in every mode.
 * :class:`DegradationEvent` / :class:`DegradationReport` — the record
-  of every degradation (chunk index, cause, attempts, final encoding)
-  attached to :class:`~repro.core.pipeline.CompressionResult` and
-  dumped by the CLI's ``--resilience-json``.
+  of every degradation (chunk index, cause, final encoding) attached
+  to :class:`~repro.core.pipeline.CompressionResult` and dumped by the
+  CLI's ``--resilience-json``.
+
+:func:`call_with_deadline` bounds a blocking call by wall-clock time;
+the service runs each compute request under it.
 
 The chunk encoder itself (:func:`repro.core.pipeline.encode_chunk_payload`)
 lives next to its decode counterpart in the pipeline module; this module
@@ -36,36 +36,18 @@ can embed a policy without import cycles.
 
 from __future__ import annotations
 
-import enum
 import threading
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Callable
 
-from repro.core.exceptions import ChunkTimeoutError, ConfigurationError
+from repro.core.exceptions import ChunkTimeoutError
 
 __all__ = [
-    "BreakerBoard",
-    "BreakerSnapshot",
-    "BreakerState",
-    "CodecCircuitBreaker",
     "DegradationEvent",
     "DegradationReport",
     "ResiliencePolicy",
     "call_with_deadline",
 ]
-
-
-class BreakerState(enum.Enum):
-    """Circuit breaker states, with their exported gauge values."""
-
-    CLOSED = "closed"
-    HALF_OPEN = "half_open"
-    OPEN = "open"
-
-    @property
-    def gauge_value(self) -> int:
-        """Numeric encoding for ``isobar_breaker_state`` (0/1/2)."""
-        return {"closed": 0, "half_open": 1, "open": 2}[self.value]
 
 
 @dataclass(frozen=True)
@@ -74,11 +56,6 @@ class ResiliencePolicy:
 
     Parameters
     ----------
-    chunk_deadline_seconds:
-        Wall-clock budget for a single solver call; ``None`` disables
-        the deadline.  Enforced by :func:`call_with_deadline`, which
-        runs the call on a helper thread — only set it when hung
-        encoders are a real risk.
     fallback_zlib:
         When the primary codec fails, try a stdlib-``zlib``
         encoding of the raw chunk bytes (container mode
@@ -91,43 +68,15 @@ class ResiliencePolicy:
         input before accepting it.  Catches codecs that corrupt data
         *silently* (at roughly 2x solver cost); corruption is treated
         as a failure and degrades like any other.
-    breaker_threshold:
-        Consecutive failing chunks (K) that open that codec's circuit
-        breaker.
-    breaker_probe_after:
-        While open, the breaker short-circuits this many chunks to the
-        fallback, then lets a single half-open probe through.
     strict:
         Degradation becomes a hard failure: when the primary codec
         fails a :class:`~repro.core.exceptions.CodecError` propagates
         instead of a fallback encoding.
     """
 
-    chunk_deadline_seconds: float | None = None
     fallback_zlib: bool = True
     verify_roundtrip: bool = False
-    breaker_threshold: int = 3
-    breaker_probe_after: int = 8
     strict: bool = False
-
-    def __post_init__(self) -> None:
-        if (
-            self.chunk_deadline_seconds is not None
-            and self.chunk_deadline_seconds <= 0
-        ):
-            raise ConfigurationError(
-                "chunk_deadline_seconds must be positive or None, got "
-                f"{self.chunk_deadline_seconds!r}"
-            )
-        if self.breaker_threshold < 1:
-            raise ConfigurationError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold!r}"
-            )
-        if self.breaker_probe_after < 1:
-            raise ConfigurationError(
-                "breaker_probe_after must be >= 1, got "
-                f"{self.breaker_probe_after!r}"
-            )
 
     def replace(self, **changes: object) -> "ResiliencePolicy":
         """Return a copy of this policy with ``changes`` applied."""
@@ -139,11 +88,9 @@ class DegradationEvent:
     """One chunk that could not be stored with the primary codec."""
 
     chunk_index: int
-    #: ``"error"`` (solver raised), ``"timeout"`` (deadline exceeded) or
-    #: ``"breaker_open"`` (the codec's breaker short-circuited the call).
+    #: ``"error"``: the solver raised or failed round-trip
+    #: verification (the label of ``isobar_chunks_degraded_total``).
     cause: str
-    #: Primary-codec tries made: 0 when the breaker was open, else 1.
-    attempts: int
     #: Final encoding: ``"zlib-fallback"`` or ``"raw"``.
     encoding: str
     #: Message of the last primary-codec error, when there was one.
@@ -154,7 +101,6 @@ class DegradationEvent:
         return {
             "chunk_index": self.chunk_index,
             "cause": self.cause,
-            "attempts": self.attempts,
             "encoding": self.encoding,
             "error": self.error,
         }
@@ -221,211 +167,12 @@ class DegradationReport:
             DegradationEvent(
                 chunk_index=int(e["chunk_index"]),
                 cause=str(e["cause"]),
-                attempts=int(e["attempts"]),
                 encoding=str(e["encoding"]),
                 error=e.get("error"),
             )
             for e in payload.get("events", ())
         )
         return cls(events=events)
-
-
-@dataclass(frozen=True)
-class BreakerSnapshot:
-    """Point-in-time, lock-consistent view of one codec's breaker.
-
-    Returned by :meth:`CodecCircuitBreaker.snapshot` /
-    :meth:`BreakerBoard.snapshot` so health endpoints and tests can
-    inspect breaker internals without reaching into private fields.
-    """
-
-    codec_name: str
-    state: BreakerState
-    consecutive_failures: int
-    skips_since_open: int
-    probe_inflight: bool
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation (the ``/healthz`` payload)."""
-        return {
-            "codec": self.codec_name,
-            "state": self.state.value,
-            "consecutive_failures": self.consecutive_failures,
-            "skips_since_open": self.skips_since_open,
-            "probe_inflight": self.probe_inflight,
-        }
-
-
-class CodecCircuitBreaker:
-    """Thread-safe per-codec circuit breaker (chunk-count based).
-
-    State machine:
-
-    * ``CLOSED`` — calls flow; ``threshold`` *consecutive* failures
-      (successes reset the streak) transition to ``OPEN``.
-    * ``OPEN`` — :meth:`allow` returns False, routing chunks straight
-      to the fallback.  After ``probe_after`` skipped calls the breaker
-      moves to ``HALF_OPEN`` and lets exactly one probe through.
-    * ``HALF_OPEN`` — the probe's outcome decides: success closes the
-      breaker, failure re-opens it (and restarts the skip count).
-
-    All transitions are counted in chunks, never wall-clock, so a run
-    with a deterministic fault pattern degrades deterministically —
-    this is what the chaos harness asserts on.
-    """
-
-    def __init__(
-        self,
-        codec_name: str,
-        *,
-        threshold: int = 3,
-        probe_after: int = 8,
-        on_state_change: Callable[[str, BreakerState], None] | None = None,
-    ):
-        self.codec_name = codec_name
-        self._threshold = threshold
-        self._probe_after = probe_after
-        self._on_state_change = on_state_change
-        self._lock = threading.Lock()
-        self._state = BreakerState.CLOSED
-        self._consecutive_failures = 0
-        self._skips_since_open = 0
-        self._probe_inflight = False
-
-    @property
-    def state(self) -> BreakerState:
-        """Current breaker state."""
-        return self._state
-
-    def snapshot(self) -> BreakerSnapshot:
-        """A lock-consistent :class:`BreakerSnapshot` of this breaker."""
-        with self._lock:
-            return BreakerSnapshot(
-                codec_name=self.codec_name,
-                state=self._state,
-                consecutive_failures=self._consecutive_failures,
-                skips_since_open=self._skips_since_open,
-                probe_inflight=self._probe_inflight,
-            )
-
-    def reset(self) -> None:
-        """Force the breaker back to ``CLOSED`` and clear its counters.
-
-        An operator override (exposed via :meth:`BreakerBoard.reset`):
-        the state-change callback fires so gauges track the reset.
-        """
-        with self._lock:
-            self._consecutive_failures = 0
-            self._skips_since_open = 0
-            self._probe_inflight = False
-            self._transition(BreakerState.CLOSED)
-
-    def _transition(self, state: BreakerState) -> None:
-        # Called with the lock held.
-        if state is self._state:
-            return
-        self._state = state
-        if self._on_state_change is not None:
-            self._on_state_change(self.codec_name, state)
-
-    def allow(self) -> bool:
-        """Whether the next primary-codec call may proceed."""
-        with self._lock:
-            if self._state is BreakerState.CLOSED:
-                return True
-            if self._state is BreakerState.OPEN:
-                self._skips_since_open += 1
-                if self._skips_since_open > self._probe_after:
-                    self._transition(BreakerState.HALF_OPEN)
-                    self._probe_inflight = True
-                    return True
-                return False
-            # HALF_OPEN: only the single probe call is in flight.
-            if not self._probe_inflight:
-                self._probe_inflight = True
-                return True
-            return False
-
-    def record_success(self) -> None:
-        """A primary-codec call succeeded; close the breaker."""
-        with self._lock:
-            self._consecutive_failures = 0
-            self._skips_since_open = 0
-            self._probe_inflight = False
-            self._transition(BreakerState.CLOSED)
-
-    def record_failure(self) -> None:
-        """A chunk's primary-codec call failed or timed out."""
-        with self._lock:
-            self._consecutive_failures += 1
-            if self._state is BreakerState.HALF_OPEN:
-                # Failed probe: straight back to OPEN.
-                self._probe_inflight = False
-                self._skips_since_open = 0
-                self._transition(BreakerState.OPEN)
-            elif (
-                self._state is BreakerState.CLOSED
-                and self._consecutive_failures >= self._threshold
-            ):
-                self._skips_since_open = 0
-                self._transition(BreakerState.OPEN)
-
-
-class BreakerBoard:
-    """Lazily-created :class:`CodecCircuitBreaker` per codec name.
-
-    One board is shared across a compressor's whole lifetime (and
-    across its worker threads), so breaker state persists between runs
-    the way an always-on ingest path needs it to.
-    """
-
-    def __init__(
-        self,
-        policy: "ResiliencePolicy | None" = None,
-        *,
-        on_state_change: Callable[[str, BreakerState], None] | None = None,
-    ):
-        self._policy = policy or ResiliencePolicy()
-        self._on_state_change = on_state_change
-        self._lock = threading.Lock()
-        self._breakers: dict[str, CodecCircuitBreaker] = {}
-
-    def for_codec(self, name: str) -> CodecCircuitBreaker:
-        """The breaker guarding ``name`` (created on first use)."""
-        with self._lock:
-            breaker = self._breakers.get(name)
-            if breaker is None:
-                breaker = CodecCircuitBreaker(
-                    name,
-                    threshold=self._policy.breaker_threshold,
-                    probe_after=self._policy.breaker_probe_after,
-                    on_state_change=self._on_state_change,
-                )
-                self._breakers[name] = breaker
-            return breaker
-
-    def states(self) -> dict[str, BreakerState]:
-        """Snapshot of every breaker's current state."""
-        with self._lock:
-            return {name: b.state for name, b in self._breakers.items()}
-
-    def snapshot(self) -> dict[str, BreakerSnapshot]:
-        """Full :class:`BreakerSnapshot` per codec, for health endpoints
-        and tests — no private-field access required."""
-        with self._lock:
-            breakers = list(self._breakers.values())
-        return {b.codec_name: b.snapshot() for b in breakers}
-
-    def reset(self) -> None:
-        """Force every breaker on the board back to ``CLOSED``.
-
-        The breakers themselves are kept (state-change callbacks and
-        identity survive) — only their failure accounting is cleared.
-        """
-        with self._lock:
-            breakers = list(self._breakers.values())
-        for breaker in breakers:
-            breaker.reset()
 
 
 def call_with_deadline(
@@ -441,8 +188,8 @@ def call_with_deadline(
     :class:`~repro.core.exceptions.ChunkTimeoutError` is raised and
     the thread is *abandoned* — Python threads cannot be killed, so a
     truly hung encoder keeps its thread until process exit.  That is
-    the accepted cost of containment: the pipeline moves on to the
-    fallback instead of hanging with it.
+    the accepted cost of containment: the caller (the service, which
+    answers 504) moves on instead of hanging with it.
     """
     if deadline_seconds is None:
         return fn(data)
@@ -458,12 +205,12 @@ def call_with_deadline(
             done.set()
 
     worker = threading.Thread(
-        target=_run, name="isobar-chunk-deadline", daemon=True
+        target=_run, name="isobar-deadline", daemon=True
     )
     worker.start()
     if not done.wait(deadline_seconds):
         raise ChunkTimeoutError(
-            f"solver call exceeded the {deadline_seconds}s chunk deadline"
+            f"call exceeded its {deadline_seconds}s deadline"
         )
     kind, value = box[0]
     if kind == "err":

@@ -148,7 +148,7 @@ class WinningTrial:
     codec: Codec
     solver_input: bytes
     compressed: bytes
-    #: Wall time of the codec call alone (the deadline-bounded part).
+    #: Wall time of the codec call alone (chunk 0's solve time).
     compress_seconds: float
 
 

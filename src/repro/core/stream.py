@@ -87,10 +87,10 @@ class StreamingWriter:
     blocks that have finished, in order, and blocks only while
     ``max_inflight`` chunks are in flight, so memory is bounded by
     ``1 + max_inflight`` chunks and ``close()`` is the point where the
-    file is durable.  Failed blocks are retried serially or cancel the
-    run as in the in-memory engine; a chunk error (pipelined, it may
-    surface in a later ``write_chunk`` or in ``close()``) aborts the
-    writer.  The file is byte-identical for every worker count.
+    file is durable.  A failed block cancels the run as in the
+    in-memory engine; the chunk error (pipelined, it may surface in a
+    later ``write_chunk`` or in ``close()``) aborts the writer.  The
+    file is byte-identical for every worker count.
 
     The writer itself only owns the sink, the header patch, the index
     footer and the atomic ``open``/``abort``/``close``; ``close()``

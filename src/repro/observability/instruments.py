@@ -63,11 +63,8 @@ class PipelineInstruments:
         (corrupt chunks count as lost elements — their payload exists
         but decodes wrong, so nothing usable was recovered).
     ``chunks_degraded``
-        ``isobar_chunks_degraded_total{cause=error|timeout|breaker_open}``
-        — chunks the resilience layer stored with a fallback encoding.
-    ``breaker_state``
-        ``isobar_breaker_state{codec=}`` gauge — per-codec circuit
-        breaker state (0 closed, 1 half-open, 2 open).
+        ``isobar_chunks_degraded_total{cause=error}`` — chunks the
+        resilience layer stored with a fallback encoding.
     ``selector_failures``
         ``isobar_selector_failures_total{codec=,linearization=}`` —
         candidate evaluations that raised and were skipped.
@@ -149,11 +146,6 @@ class PipelineInstruments:
         self.chunks_degraded = registry.counter(
             "isobar_chunks_degraded_total",
             "Chunks stored with a degraded fallback encoding, by cause.",
-        )
-        self.breaker_state = registry.gauge(
-            "isobar_breaker_state",
-            "Per-codec circuit breaker state "
-            "(0 closed, 1 half-open, 2 open).",
         )
         self.selector_failures = registry.counter(
             "isobar_selector_failures_total",

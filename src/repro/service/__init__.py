@@ -2,8 +2,8 @@
 
 An asyncio HTTP/1.1 front end over the ISOBAR pipeline, designed
 around failure: bounded admission with load shedding, per-request
-deadlines, degraded-response headers, circuit-breaker-aware 503s,
-chunked backpressured bodies and graceful drain.  See
+deadlines, degraded-response headers, chunked backpressured bodies
+and graceful drain.  See
 ``docs/service.md`` for the wire contract.
 
 Public surface:
@@ -26,7 +26,6 @@ from repro.service.client import (
     ServiceClient,
 )
 from repro.service.errors import (
-    BreakerOpenError,
     DrainingError,
     QueueFullError,
     ServiceError,
@@ -37,7 +36,6 @@ from repro.service.errors import (
 )
 
 __all__ = [
-    "BreakerOpenError",
     "ChaosPlan",
     "ClientResponse",
     "CompressOutcome",

@@ -11,12 +11,12 @@ Design-for-failure, endpoint by endpoint:
   the service).  The budget covers the queue wait *and* the compute,
   which runs under :func:`repro.core.resilience.call_with_deadline`;
   expiry surfaces as 504, never a hang — a stuck solver's thread is
-  abandoned, exactly like a stuck chunk in the pipeline.
+  abandoned.  This is the only deadline: chunk encoding has none.
 * **Degradation mapping** — the resilience layer's containment verdict
   becomes HTTP semantics: degraded-but-decodable output is still 200
-  with ``X-Isobar-Degraded`` / ``X-Isobar-Degradation`` headers; an
-  explicitly requested codec whose circuit breaker is open is 503 with
-  ``Retry-After``; a partial salvage is 206.
+  with ``X-Isobar-Degraded`` / ``X-Isobar-Degradation`` headers, also
+  for an explicitly requested codec (a chunk's encoding depends only
+  on its bytes, never on other requests); a partial salvage is 206.
 * **Backpressure** — compute responses are chunked and each piece is
   ``drain()``-ed before the next is produced.  Decompression feeds the
   writer through a bounded thread→async bridge (the service-side twin
@@ -66,17 +66,12 @@ from repro.core.preferences import (
     normalize_errors,
 )
 from repro.core.random_access import ContainerFile
-from repro.core.resilience import (
-    BreakerState,
-    ResiliencePolicy,
-    call_with_deadline,
-)
+from repro.core.resilience import ResiliencePolicy, call_with_deadline
 from repro.core.salvage import salvage_decompress
 from repro.observability.export import to_json, to_prometheus_text
 from repro.observability.registry import MetricsRegistry
 from repro.service.chaos import ChaosPlan, NetworkChaos
 from repro.service.errors import (
-    BreakerOpenError,
     DrainingError,
     QueueFullError,
     ServiceProtocolError,
@@ -95,10 +90,6 @@ from repro.service.http import (
 )
 
 __all__ = ["IsobarService", "ServiceConfig", "ServiceThread"]
-
-#: Default resilience policy for served traffic: a per-chunk deadline
-#: so one hung solver call cannot eat a whole request budget.
-DEFAULT_SERVICE_POLICY = ResiliencePolicy(chunk_deadline_seconds=5.0)
 
 #: Parameter combinations (query overrides) whose compressor, and
 #: whose ``/v1/plan`` selector, stay cached; the least recently used
@@ -180,11 +171,7 @@ class ServiceConfig:
     pipeline_workers: int = 1
     pipeline_max_inflight: int | None = None
     stall_probe_threshold_seconds: float | None = None
-    isobar: IsobarConfig = field(
-        default_factory=lambda: IsobarConfig(
-            resilience=DEFAULT_SERVICE_POLICY
-        )
-    )
+    isobar: IsobarConfig = field(default_factory=IsobarConfig)
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -552,11 +539,9 @@ class IsobarService:
     def _compressor_for(self, overrides: dict) -> IsobarCompressor:
         """The cached compressor serving one parameter combination.
 
-        Compressors are shared across requests (and executor threads:
-        chunk workspaces are thread-local, breaker boards are locked)
-        so circuit-breaker state persists the way an always-on ingest
-        path needs it to — for the ``_CACHED_OVERRIDE_SETS`` most
-        recently used combinations.
+        Compressors are shared across requests and executor threads
+        (chunk workspaces are thread-local) for the
+        ``_CACHED_OVERRIDE_SETS`` most recently used combinations.
         """
 
         def build(config: IsobarConfig) -> IsobarCompressor:
@@ -614,34 +599,6 @@ class IsobarService:
                     self._selector_failed.get(key, 0) + 1
                 )
 
-    def breaker_snapshot(self) -> dict[str, dict]:
-        """Merged breaker snapshots across every cached compressor."""
-        merged: dict[str, dict] = {}
-        with self._compressor_lock:
-            compressors = list(self._compressors.values())
-        for compressor in compressors:
-            for name, snap in compressor.breakers.snapshot().items():
-                current = merged.get(name)
-                # The most-degraded view wins when the same codec is
-                # served under several parameter combinations.
-                if (
-                    current is None
-                    or snap.state.gauge_value > current["_rank"]
-                ):
-                    entry = snap.to_dict()
-                    entry["_rank"] = snap.state.gauge_value
-                    merged[name] = entry
-        for entry in merged.values():
-            entry.pop("_rank", None)
-        return merged
-
-    def reset_breakers(self) -> None:
-        """Operator override: close every breaker on every board."""
-        with self._compressor_lock:
-            compressors = list(self._compressors.values())
-        for compressor in compressors:
-            compressor.breakers.reset()
-
     def stats(self) -> dict:
         """The ``/v1/stats`` document."""
         return {
@@ -657,10 +614,6 @@ class IsobarService:
             "shed": self._shed,
             "degraded_responses": self._degraded_responses,
             "aborted_responses": self._aborted_responses,
-            "breakers": {
-                name: snap["state"]
-                for name, snap in self.breaker_snapshot().items()
-            },
             "selector": self._selector_stats(),
         }
 
@@ -868,8 +821,7 @@ class IsobarService:
     async def _observe(self, fn: Callable[[], object]) -> object:
         """Run a lock-taking snapshot off the event loop.
 
-        ``/healthz`` and ``/v1/stats`` read state guarded by
-        ``_compressor_lock`` (and the breaker locks behind it); taking
+        ``/v1/stats`` reads state guarded by ``_compressor_lock``; taking
         a thread lock on the loop would stall every connection while a
         compute thread holds it (rule ISO010), so the snapshot runs on
         the dedicated observe thread instead.
@@ -902,17 +854,11 @@ class IsobarService:
     async def _handle_healthz(
         self, request: Request, writer: asyncio.StreamWriter, plan: ChaosPlan
     ) -> tuple[int, bool]:
-        breakers = await self._observe(self.breaker_snapshot)
         status = 503 if self._draining else 200
         payload = {
             "status": "draining" if self._draining else "ok",
             "draining": self._draining,
             "inflight": self._gate.inflight,
-            "breakers": breakers,
-            "open_breakers": sorted(
-                name for name, snap in breakers.items()
-                if snap["state"] != BreakerState.CLOSED.value
-            ),
         }
         await write_response(
             writer, status, json.dumps(payload).encode("utf-8"),
@@ -978,9 +924,7 @@ class IsobarService:
             except ValueError as exc:
                 raise InvalidInputError(f"unreadable tau {tau!r}") from exc
         if request.param("strict") in ("1", "true", "yes"):
-            base = (
-                self._config.isobar.resilience or DEFAULT_SERVICE_POLICY
-            )
+            base = self._config.isobar.resilience or ResiliencePolicy()
             overrides["resilience"] = base.replace(strict=True)
         return overrides
 
@@ -997,24 +941,6 @@ class IsobarService:
             raise InvalidInputError(f"unknown dtype {name!r}") from exc
         element_width(dtype)  # restrict to fixed-width kinds
         return dtype
-
-    def _check_breaker(self, compressor: IsobarCompressor,
-                       codec_name: str | None) -> None:
-        """Shed explicitly-pinned codecs whose breaker is open.
-
-        Selector-chosen codecs are *not* shed: the resilience layer
-        degrades their chunks through the fallback chain and the
-        response stays 200-degraded, which is the better contract when
-        the client expressed no codec preference.
-        """
-        if codec_name is None:
-            return
-        state = compressor.breakers.for_codec(codec_name).state
-        if state is BreakerState.OPEN:
-            raise BreakerOpenError(
-                f"circuit breaker for codec {codec_name!r} is open",
-                retry_after=self._config.retry_after_seconds,
-            )
 
     async def _handle_compress(
         self,
@@ -1039,7 +965,6 @@ class IsobarService:
             # the whole lock-then-compute sequence runs on the deadline
             # executor so the event loop never waits on it (ISO010).
             compressor = self._compressor_for(overrides)
-            self._check_breaker(compressor, overrides.get("codec"))
             values = np.frombuffer(request.body, dtype=dtype)
             detailed = compressor.compress_detailed(values)
             self._note_failed_candidates(detailed.decision)

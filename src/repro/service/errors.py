@@ -22,7 +22,7 @@ status  condition
 422     container undecodable under the requested policy
 429     admission queue full — shed, with ``Retry-After``
 500     unexpected non-Isobar bug (the single mapped fallback)
-503     breaker open / codec exhausted / draining, ``Retry-After``
+503     draining, or a codec/selector failure not degraded (strict)
 504     request deadline expired (queue wait + compute)
 ======  =======================================================
 """
@@ -45,7 +45,6 @@ from repro.core.exceptions import (
 )
 
 __all__ = [
-    "BreakerOpenError",
     "DrainingError",
     "QueueFullError",
     "ServiceError",
@@ -73,16 +72,6 @@ class QueueFullError(ServiceError):
 
 class DrainingError(ServiceError):
     """The service is draining and no longer accepts new work."""
-
-    status = 503
-
-    def __init__(self, message: str, *, retry_after: float = 1.0):
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class BreakerOpenError(ServiceError):
-    """The requested codec's circuit breaker is open."""
 
     status = 503
 
@@ -128,7 +117,6 @@ class ServiceUnavailableError(ServiceError):
 _STATUS_TABLE: tuple[tuple[type[BaseException], int], ...] = (
     (QueueFullError, 429),
     (DrainingError, 503),
-    (BreakerOpenError, 503),
     (ServiceProtocolError, 400),
     (ChunkTimeoutError, 504),
     (UnknownCodecError, 400),

@@ -7,8 +7,8 @@ delegates to a real codec and misbehaves on a deterministic subset of
 calls:
 
 * :class:`FlakyCodec` raises :class:`ChaosCodecError`,
-* :class:`HangingCodec` sleeps past the chunk deadline before
-  delegating,
+* :class:`HangingCodec` sleeps before delegating (a wedged solver:
+  the service's request deadline answers it with 504),
 * :class:`CorruptingCodec` flips a byte in the compressed output
   (caught downstream by per-chunk CRCs, or at encode time by
   ``ResiliencePolicy(verify_roundtrip=True)``).
@@ -17,8 +17,8 @@ Determinism matters more than realism here: the chaos smoke must fail
 the *same* chunks on every run, in serial and parallel alike.  So the
 default trigger is keyed on the **payload content** (CRC32 of the
 bytes, mixed with the seed) rather than call order — thread scheduling
-cannot change which chunks fail.  Call-order triggers (``fail_first``)
-exist for serial breaker tests, protected by a lock.
+cannot change which chunks fail.  Call-order triggers (``fail_first``,
+``fail_calls``) exist for serial tests, protected by a lock.
 
 Wrappers are registered through the normal codec registry, typically
 *shadowing* the real codec's name via :func:`chaos_codec`, so the
@@ -126,8 +126,7 @@ class FlakyCodec(ChaosWrapper):
         Varies which payloads are doomed.
     fail_first:
         The first N calls fail unconditionally (call-order based, for
-        serial breaker tests: exactly K consecutive failures, then
-        recovery).
+        serial tests: exactly N consecutive failures, then recovery).
     fail_calls:
         Specific 1-based call ordinals that fail unconditionally
         (serial runs only — ordinals are schedule-dependent under a
@@ -197,11 +196,12 @@ class FlakyCodec(ChaosWrapper):
 class HangingCodec(ChaosWrapper):
     """Sleeps ``hang_seconds`` before delegating, on selected calls.
 
-    Use together with ``ResiliencePolicy(chunk_deadline_seconds=...)``:
-    the deadline fires, the chunk degrades, and the sleeping thread is
-    abandoned.  ``hang_calls`` picks call ordinals (1-based,
-    deterministic in serial runs); ``hang_percent`` picks payloads by
-    content key instead.
+    Chunk encoding has no deadline — the built-in codecs are C calls on
+    finite buffers — so a hang holds its request until the service's
+    request deadline answers 504 and abandons the thread.
+    ``hang_calls`` picks call ordinals (1-based, deterministic in
+    serial runs); ``hang_percent`` picks payloads by content key
+    instead.
     """
 
     def __init__(

@@ -48,9 +48,7 @@ def degraded_container():
         config = _CFG.replace(
             codec="zlib",
             linearization=Linearization.ROW,
-            resilience=ResiliencePolicy(
-                fallback_zlib=fallback, breaker_threshold=10_000,
-            ),
+            resilience=ResiliencePolicy(fallback_zlib=fallback),
         )
         with chaos_codec(FlakyCodec("zlib", fail_percent=100.0)):
             result = IsobarCompressor(config).compress_detailed(values)

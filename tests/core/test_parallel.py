@@ -159,8 +159,7 @@ class TestFaultContainment:
         # Content-keyed faults doom the same chunks regardless of
         # thread scheduling, so serial and parallel runs must emit
         # byte-identical containers even while degrading.
-        policy = ResiliencePolicy(breaker_threshold=10_000)
-        config = self._pinned(resilience=policy)
+        config = self._pinned(resilience=ResiliencePolicy())
         with chaos_codec(self._partial_flaky(multichunk)):
             serial = IsobarCompressor(config).compress_detailed(multichunk)
         with chaos_codec(self._partial_flaky(multichunk)):

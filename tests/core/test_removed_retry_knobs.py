@@ -1,11 +1,15 @@
-"""The compress path's chunk-retry knobs stay removed.
+"""The compress path's retry, breaker and chunk-deadline knobs stay removed.
 
 Earlier releases retried a failing chunk with exponential backoff and
-seeded jitter before degrading it.  The built-in codecs run in process
-and their verdict depends only on the chunk's bytes, so a retry failed
-again; a failing chunk now degrades on its one try.  Scripts and
-configs may still pass the old knobs: each must fail loudly (a
-``TypeError`` or a CLI usage error), never be ignored.
+seeded jitter before degrading it, opened a per-codec circuit breaker
+after consecutive failing chunks, and ran every solver call under a
+per-chunk wall-clock deadline.  The built-in codecs run in process and
+their verdict depends only on the chunk's bytes, so a retry failed
+again, and the breaker and the deadline made a chunk's encoding depend
+on earlier chunks, requests and the clock.  A failing chunk now
+degrades on its one try and on nothing else.  Scripts and configs may
+still pass the old knobs: each must fail loudly (a ``TypeError`` or a
+CLI usage error), never be ignored.
 """
 
 import dataclasses
@@ -13,12 +17,22 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.core
 import repro.core.resilience as resilience
+import repro.service
+import repro.service.app
+import repro.service.errors
 from repro.cli import main
 from repro.core.pipeline import ChunkReport, EncodedChunk, IsobarCompressor
 from repro.core.preferences import IsobarConfig
-from repro.core.resilience import DegradationReport, ResiliencePolicy
+from repro.core.resilience import (
+    DegradationEvent,
+    DegradationReport,
+    ResiliencePolicy,
+)
 from repro.datasets.loaders import save_raw
+from repro.service import ServiceClient, ServiceConfig, ServiceThread
+from repro.testing.chaos import FlakyCodec, chaos_codec
 
 REMOVED_FIELDS = [
     "max_attempts",
@@ -27,6 +41,18 @@ REMOVED_FIELDS = [
     "retry_jitter",
     "retry_jitter_seed",
     "sleep",
+    "chunk_deadline_seconds",
+    "breaker_threshold",
+    "breaker_probe_after",
+]
+
+REMOVED_NAMES = [
+    "BreakerBoard",
+    "BreakerSnapshot",
+    "BreakerState",
+    "CodecCircuitBreaker",
+    "BreakerOpenError",
+    "DEFAULT_SERVICE_POLICY",
 ]
 
 REMOVED_FLAGS = [
@@ -37,13 +63,10 @@ REMOVED_FLAGS = [
 ]
 
 
-def test_policy_has_exactly_the_six_kept_fields():
+def test_policy_has_exactly_the_three_kept_fields():
     assert [f.name for f in dataclasses.fields(ResiliencePolicy)] == [
-        "chunk_deadline_seconds",
         "fallback_zlib",
         "verify_roundtrip",
-        "breaker_threshold",
-        "breaker_probe_after",
         "strict",
     ]
 
@@ -64,12 +87,50 @@ def test_backoff_helpers_are_gone(name):
 
 
 def test_no_retry_accounting_left():
-    for cls in (EncodedChunk, ChunkReport, DegradationReport):
-        assert "retries" not in {f.name for f in dataclasses.fields(cls)}
+    for cls in (EncodedChunk, ChunkReport, DegradationReport,
+                DegradationEvent):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert not fields & {"retries", "attempts"}
     assert "retries" not in DegradationReport().to_dict()
+    event = DegradationEvent(0, "error", "raw")
+    assert "attempts" not in event.to_dict()
     compressor = IsobarCompressor(IsobarConfig(), collect_metrics=True)
     compressor.compress(np.arange(5_000, dtype=np.float64))
-    assert compressor.metrics.get("isobar_chunk_retries_total") is None
+    for name in ("isobar_chunk_retries_total", "isobar_breaker_state"):
+        assert compressor.metrics.get(name) is None
+    assert not hasattr(compressor, "breakers")
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_breaker_names_are_gone(name):
+    for module in (repro.core, resilience, repro.service,
+                   repro.service.app, repro.service.errors):
+        assert not hasattr(module, name)
+
+
+def test_pinned_codec_is_never_shed_by_other_failures():
+    """A ``?codec=`` pin whose codec keeps failing gets a degraded 200
+    on every request: no request's outcome depends on another's."""
+    handle = ServiceThread(ServiceConfig(
+        isobar=ServiceConfig().isobar.replace(chunk_elements=2048),
+    ))
+    host, port = handle.start()
+    try:
+        client = ServiceClient(host, port, max_retries=0)
+        data = np.cumsum(np.random.default_rng(0).normal(size=20_000))
+        with chaos_codec(FlakyCodec("zlib", fail_percent=100.0)):
+            for _ in range(4):
+                response = client.request(
+                    "POST", "/v1/compress?codec=zlib", data.tobytes(),
+                    {"X-Isobar-Dtype": "float64"}, retryable=frozenset(),
+                )
+                assert response.status == 200
+                assert response.header("x-isobar-degraded") is not None
+        health = client.healthz()
+        assert "breakers" not in health and "open_breakers" not in health
+        assert "breakers" not in client.stats()
+    finally:
+        handle.stop()
 
 
 @pytest.mark.parametrize("flag", REMOVED_FLAGS, ids=lambda f: f[0])

@@ -218,24 +218,32 @@ def test_worker_degradation_matches_the_in_memory_engine():
     assert sink.getvalue() == expected
 
 
-def test_failed_blocks_are_retried_serially(monkeypatch):
-    """A block that fails on a worker is encoded again on the caller's
-    thread under a resilience policy, as in the in-memory engine."""
+@pytest.mark.parametrize("mode", ["stream", "compress"])
+def test_failed_block_raises_in_order(monkeypatch, mode):
+    """A block that fails on a worker is not encoded again: the runner
+    is cancelled and the first failed chunk's error raised, in order,
+    even when a later chunk failed first."""
     import threading
+    import time
 
     from repro.core.pipeline import IsobarCompressor
 
     encode = IsobarCompressor._compress_chunk
 
     def fails_on_workers(self, index, *args, **kwargs):
-        if threading.current_thread().name.startswith("isobar-stream"):
-            raise RuntimeError("worker lost")
+        if threading.current_thread().name.startswith("isobar-") and index:
+            if index == 1:
+                time.sleep(0.2)
+            raise RuntimeError(f"worker lost chunk {index}")
         return encode(self, index, *args, **kwargs)
 
     values = generate_dataset("msg_sweep3d", n_elements=20_000, seed=3)
-    expected = _written(values, 1)
     monkeypatch.setattr(IsobarCompressor, "_compress_chunk", fails_on_workers)
-    assert _written(values, 2) == expected
+    with pytest.raises(RuntimeError, match="worker lost chunk 1$"):
+        if mode == "stream":
+            _written(values, 2)
+        else:
+            IsobarCompressor(CONFIG, 2).compress(values)
 
 
 def test_stress_more_workers_than_cores(tmp_path):

@@ -21,7 +21,6 @@ from repro.core.exceptions import (
     UnknownCodecError,
 )
 from repro.service.errors import (
-    BreakerOpenError,
     DrainingError,
     QueueFullError,
     ServiceProtocolError,
@@ -29,6 +28,7 @@ from repro.service.errors import (
     retry_after_for_exception,
     status_for_exception,
 )
+from repro.testing.chaos import ChaosCodecError
 
 
 class TestStatusTable:
@@ -37,7 +37,7 @@ class TestStatusTable:
         [
             (QueueFullError("full"), 429),
             (DrainingError("draining"), 503),
-            (BreakerOpenError("open"), 503),
+            (ChaosCodecError("injected"), 503),
             (ServiceProtocolError("bad"), 400),
             (ChunkTimeoutError("slow"), 504),
             (UnknownCodecError("nope"), 400),
@@ -75,7 +75,7 @@ class TestStatusTable:
     def test_service_errors_are_isobar_errors(self):
         """Callers catching IsobarError get service failures too."""
         for exc in (QueueFullError("x"), DrainingError("x"),
-                    BreakerOpenError("x"), ServiceProtocolError("x")):
+                    ServiceProtocolError("x")):
             assert isinstance(exc, IsobarError)
 
 

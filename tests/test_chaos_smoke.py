@@ -1,13 +1,12 @@
 """Opt-in chaos smoke run (``pytest -m chaos``).
 
-Reuses the driver from ``benchmarks/run_chaos_smoke.py``: seeded
-misbehaving codecs (flaky, hanging, total outage) against the
-resilience layer, asserting compression completes, the degraded set is
-deterministic, the breaker opens after K consecutive failures and the
+Reuses the driver from ``benchmarks/run_chaos_smoke.py``: seeded flaky
+codecs against the resilience layer, asserting compression completes,
+the degraded set is exactly the doomed set, serial, 2 and 4 workers,
+the streaming writer and a repeat run write one container, and the
 output decodes bit-exactly through all four readers with a pristine
-registry.  A tiny always-on case keeps the driver itself from rotting;
-the multi-seed sweep is excluded from the default suite by the
-``chaos`` marker.
+registry.  ``test_driver_smoke`` runs one seed; the ``chaos``-marked
+sweep runs five more (the default run includes it).
 """
 
 import sys

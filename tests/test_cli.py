@@ -414,10 +414,9 @@ class TestResilienceCommands:
         assert code == 2
         report = json.loads(report_path.read_text())
         assert report["degraded_chunks"] == 3  # 30000 / 10000
-        # Under a total outage each chunk fails its one try; the
-        # default breaker opens only on the third failing chunk.
+        # Under a total outage each chunk fails its one try.
         assert report["causes"] == {"error": 3}
-        assert all(e["attempts"] == 1 for e in report["events"])
+        assert all("attempts" not in e for e in report["events"])
         assert "retries" not in report
         assert all(
             e["encoding"] == "zlib-fallback" for e in report["events"]
